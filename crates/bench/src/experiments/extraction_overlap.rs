@@ -1,13 +1,14 @@
 //! Beyond the paper — streaming extraction: the materialized
-//! trace-then-extract pipeline (PR 3) vs the streaming pipeline that overlaps
-//! path extraction with the forward pass and drops activations eagerly.
+//! trace-then-extract pipeline vs the streaming pipeline that extracts
+//! paths while the forward pass runs and drops activations eagerly.
 //!
 //! The streaming pipeline plugs the extractor into the forward pass as a
 //! `TraceSink`: forward programs mask each enabled layer's output the moment
-//! the layer finishes (on a worker thread overlapped with the next layer's
-//! compute) and release the activation; backward programs retain only the
-//! boundaries the reverse walk reads.  Both are bit-for-bit identical to the
-//! materialized path — checked here per batch size, not assumed.
+//! the layer finishes, on the caller's thread, and release the activation;
+//! backward programs retain only the boundaries the reverse walk reads.  The
+//! materialized baseline keeps its `par_map` fan-out over samples.  Both are
+//! bit-for-bit identical to the materialized path — checked here per batch
+//! size, not assumed.
 //!
 //! Shapes to check: streamed end-to-end detection is no slower than the
 //! materialized pipeline from batch size ~4 (the acceptance bar), and the
@@ -111,7 +112,7 @@ fn program_table(
 
     let mut table = Table::new(format!(
         "Extraction overlap ({label}) — materialized trace-then-extract vs \
-         streaming extraction overlapped with the forward pass"
+         streaming extraction during the forward pass"
     ))
     .header([
         "batch size",

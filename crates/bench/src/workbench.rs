@@ -132,7 +132,7 @@ impl Workbench {
         })
     }
 
-    /// A small LeNet workbench used by the Criterion micro-benches and smoke tests.
+    /// A small LeNet workbench used by the beyond-paper experiments and smoke tests.
     ///
     /// # Errors
     ///

@@ -15,14 +15,15 @@
 //!   fused NCHW forward pass over the whole batch (batched `im2col`/matmul
 //!   across inputs) and extracts each input's [`ActivationPath`] **while the
 //!   pass is still running** ([`crate::extract_paths_streaming_batch`]):
-//!   forward programs mask each enabled layer's stacked output on a scoped
-//!   worker overlapped with the next layer's compute and release the
-//!   activation eagerly, backward programs retain only the boundaries the
-//!   reverse walk reads — peak activation memory drops from O(network) to the
-//!   retained set.  Every fused kernel preserves the per-input reduction
-//!   order and the selection kernels are shared with the materialized
-//!   pipeline, so batch verdicts stay **bit-for-bit identical** to the
-//!   single-input path;
+//!   forward programs mask each enabled layer's stacked output as soon as
+//!   the layer finishes and release the activation eagerly, backward
+//!   programs retain only the boundaries the reverse walk reads — peak
+//!   activation memory drops from O(network) to the retained set.  Every
+//!   fused kernel preserves the per-input reduction order and the selection
+//!   kernels are shared with the materialized pipeline, so batch verdicts
+//!   stay **bit-for-bit identical** to the single-input entry points, which
+//!   are the same code run on a batch of one.  All of it runs on the
+//!   caller's thread;
 //! * **streaming** — [`DetectionEngine::score_stream`] /
 //!   [`DetectionEngine::detect_stream`] lazily drive an input iterator
 //!   without materialising the batch;
@@ -72,10 +73,8 @@ use ptolemy_obs::{Counter, HistogramHandle, Registry};
 use ptolemy_tensor::Tensor;
 
 use crate::extraction::{
-    extract_path, extract_path_streaming, extract_path_streaming_nested, path_layout,
-    stream_batch_with,
+    extract_path, extract_path_streaming, path_layout, stream_batch_with, FUSED_CHUNK,
 };
-use crate::parallel::par_map;
 use crate::{
     software_cost, ActivationPath, ClassPathSet, CoreError, DetectionProgram, Result,
     SoftwareCostReport,
@@ -83,12 +82,6 @@ use crate::{
 
 /// The decision threshold the original one-shot detection API hard-coded.
 pub const DEFAULT_THRESHOLD: f32 = 0.5;
-
-/// Fused-pass chunk size for calibration: bounds the peak memory of one
-/// streamed batch (backward programs still retain their planned stacked
-/// boundaries for the whole chunk) while keeping the fused kernels'
-/// amortisation.
-const CALIBRATION_FUSED_CHUNK: usize = 64;
 
 /// Result of detecting one input at inference time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,82 +121,74 @@ pub fn path_similarity(
             program.fingerprint()
         )));
     }
-    let (predicted, similarity, _) = trace_similarity(network, program, class_paths, input)?;
+    let (predicted, similarity, _) = trace_path_one(network, program, class_paths, input)?;
     Ok((predicted, similarity))
 }
 
-/// One **streamed** inference + extraction + similarity, with no fingerprint
-/// check.  Returns `(predicted class, similarity, activation path)`.
+/// The one scoring core behind every f32 entry point: streamed inference +
+/// extraction + similarity for each input, with no fingerprint check.
+/// Returns `(predicted class, similarity, activation path)` per input.
 ///
-/// This is the single scoring primitive behind the per-input *and* the fused
-/// batch paths: extraction runs through the streaming pipeline
-/// ([`extract_path_streaming`] — masks computed while the forward pass is
-/// still running, activations dropped eagerly instead of materialising a full
-/// trace), which is bit-for-bit identical to the historical
-/// trace-then-extract pipeline.
-fn trace_path(
-    network: &Network,
-    program: &DetectionProgram,
-    class_paths: &ClassPathSet,
-    input: &Tensor,
-) -> Result<(usize, f32, ActivationPath)> {
-    let streamed = extract_path_streaming(network, program, input)?;
-    let similarity = streamed
-        .path
-        .similarity(class_paths.class_path(streamed.predicted_class)?)?;
-    Ok((streamed.predicted_class, similarity, streamed.path))
-}
-
-/// Like [`trace_path`], reducing the path to its density.
-fn trace_similarity(
-    network: &Network,
-    program: &DetectionProgram,
-    class_paths: &ClassPathSet,
-    input: &Tensor,
-) -> Result<(usize, f32, f32)> {
-    trace_path(network, program, class_paths, input)
-        .map(|(predicted, similarity, path)| (predicted, similarity, path.density()))
-}
-
-/// Fused-batch counterpart of [`trace_path`]: one batched NCHW forward pass
-/// drives the **streaming** extraction of every sample's path
-/// ([`crate::extract_paths_streaming_batch`] — forward programs mask each
-/// stacked boundary on an overlap worker and drop it eagerly, backward
-/// programs retain only the boundaries the reverse walk reads and fan the
-/// per-sample walks out with [`par_map`]); path-similarity scoring completes
-/// each sample inside the same fan-out.  Falls back to the per-input
-/// streaming path when any input is mis-shaped (preserving that input's exact
-/// error while still serving the rest) or the fused pass itself fails.
+/// A batch of two or more well-shaped inputs runs as one fused NCHW forward
+/// pass ([`crate::extract_paths_streaming_batch`] — forward programs mask
+/// each stacked boundary as the layer finishes and drop it, backward programs
+/// retain only the boundaries the reverse walk reads), with path-similarity
+/// scoring completing each sample.  Otherwise — a single input, a
+/// mis-shaped input, or a failed fused pass — every input streams as its own
+/// batch of one ([`extract_path_streaming`]), so a bad input fails alone
+/// with its exact error while the rest are still served.
 fn trace_path_batch(
     network: &Network,
     program: &DetectionProgram,
     class_paths: &ClassPathSet,
     inputs: &[Tensor],
 ) -> Vec<Result<(usize, f32, ActivationPath)>> {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
     let finish = |predicted: usize, path: ActivationPath| -> Result<(usize, f32, ActivationPath)> {
         let similarity = path.similarity(class_paths.class_path(predicted)?)?;
         Ok((predicted, similarity, path))
     };
-    let fused = if inputs
+    let fusable = inputs.len() > 1
+        && inputs
+            .iter()
+            .all(|input| input.dims() == network.input_shape());
+    if fusable {
+        if let Ok((samples, _logits, _footprint)) =
+            stream_batch_with(network, program, inputs, &finish)
+        {
+            return samples.into_iter().map(Ok).collect();
+        }
+    }
+    inputs
         .iter()
-        .all(|input| input.dims() == network.input_shape())
-    {
-        stream_batch_with(network, program, inputs, &finish).ok()
-    } else {
-        None
-    };
-    let Some((samples, _footprint)) = fused else {
-        return par_map(inputs, |input| {
-            // Nested streaming: this par_map already saturates the cores, so
-            // per-sample overlap workers would only add spawn overhead.
-            let streamed = extract_path_streaming_nested(network, program, input)?;
+        .map(|input| {
+            let streamed = extract_path_streaming(network, program, input)?;
             finish(streamed.predicted_class, streamed.path)
-        });
-    };
-    samples.into_iter().map(Ok).collect()
+        })
+        .collect()
+}
+
+/// [`trace_path_batch`] on a batch of one.
+fn trace_path_one(
+    network: &Network,
+    program: &DetectionProgram,
+    class_paths: &ClassPathSet,
+    input: &Tensor,
+) -> Result<(usize, f32, ActivationPath)> {
+    only(trace_path_batch(
+        network,
+        program,
+        class_paths,
+        std::slice::from_ref(input),
+    ))
+}
+
+/// The single result of a batch of one.
+fn only<T>(results: Vec<Result<T>>) -> Result<T> {
+    results.into_iter().next().unwrap_or_else(|| {
+        Err(CoreError::InvalidInput(
+            "a batch of one produced no result".into(),
+        ))
+    })
 }
 
 /// Cost estimate a [`DetectionBackend`] attaches to one served batch.
@@ -376,7 +361,7 @@ impl DetectionEngine {
     /// Propagates extraction errors.
     pub fn path_similarity(&self, input: &Tensor) -> Result<(usize, f32)> {
         let (predicted, similarity, _) =
-            trace_similarity(&self.network, &self.program, &self.class_paths, input)?;
+            trace_path_one(&self.network, &self.program, &self.class_paths, input)?;
         Ok((predicted, similarity))
     }
 
@@ -387,21 +372,22 @@ impl DetectionEngine {
     /// Returns [`CoreError::InvalidInput`] if the engine was built without a
     /// classifier, and propagates extraction/classifier errors.
     pub fn detect(&self, input: &Tensor) -> Result<Detection> {
-        Ok(self.detect_traced(input)?.0)
+        Ok(self.detect_with_path(input)?.0)
     }
 
     /// Like [`DetectionEngine::detect`], additionally returning the extracted
     /// activation path — the hook serving layers use to key result caches on
     /// [`ActivationPath::prefix_fingerprint`] without re-running extraction.
     ///
-    /// The verdict comes from the same code path as [`DetectionEngine::detect`],
-    /// so it is bit-for-bit identical to calling `detect` on the same input.
+    /// Both are [`DetectionEngine::detect_batch_with_paths`] on a batch of
+    /// one, so the verdict is bit-for-bit identical to `detect` and to the
+    /// input's entry in any batch.
     ///
     /// # Errors
     ///
     /// See [`DetectionEngine::detect`].
     pub fn detect_with_path(&self, input: &Tensor) -> Result<(Detection, ActivationPath)> {
-        self.detect_traced(input)
+        only(self.detect_batch_with_paths(std::slice::from_ref(input)))
     }
 
     /// Detects a whole batch through **one streamed fused forward pass**: the
@@ -435,9 +421,22 @@ impl DetectionEngine {
         &self,
         inputs: &[Tensor],
     ) -> Vec<Result<(Detection, ActivationPath)>> {
+        self.judge_timed(|| {
+            trace_path_batch(&self.network, &self.program, &self.class_paths, inputs)
+        })
+    }
+
+    /// The one stage-timing site of every detection entry point: runs `trace`
+    /// (inference + extraction + similarity), judges each result, and —
+    /// while the registry is enabled — records `core.trace_ns`,
+    /// `core.score_ns` and `core.detections`.
+    fn judge_timed(
+        &self,
+        trace: impl FnOnce() -> Vec<Result<(usize, f32, ActivationPath)>>,
+    ) -> Vec<Result<(Detection, ActivationPath)>> {
         let obs = self.stage_obs();
         let start = obs.map(|o| o.registry.clock().now_ns());
-        let traced = trace_path_batch(&self.network, &self.program, &self.class_paths, inputs);
+        let traced = trace();
         let mid = if let (Some(o), Some(start)) = (obs, start) {
             let now = o.registry.clock().now_ns();
             o.trace_ns.record(now.saturating_sub(start));
@@ -549,25 +548,6 @@ impl DetectionEngine {
             similarity,
             predicted_class,
         })
-    }
-
-    fn detect_traced(&self, input: &Tensor) -> Result<(Detection, ActivationPath)> {
-        let obs = self.stage_obs();
-        let start = obs.map(|o| o.registry.clock().now_ns());
-        let (predicted_class, similarity, path) =
-            trace_path(&self.network, &self.program, &self.class_paths, input)?;
-        let mid = obs.map(|o| {
-            let now = o.registry.clock().now_ns();
-            o.trace_ns.record(now.saturating_sub(start.unwrap_or(now)));
-            now
-        });
-        let detection = self.judge(predicted_class, similarity)?;
-        if let (Some(o), Some(mid)) = (obs, mid) {
-            o.score_ns
-                .record(o.registry.clock().now_ns().saturating_sub(mid));
-            o.detections.incr();
-        }
-        Ok((detection, path))
     }
 
     /// The attached observability hook, only while its registry is enabled —
@@ -687,7 +667,7 @@ impl DetectionEngine {
 
     /// Quantized counterpart of [`trace_path_batch`]: one fused int8 batched
     /// forward pass materialises the stacked trace, then per-sample slices are
-    /// extracted and scored in a [`par_map`] fan-out.  Falls back to per-input
+    /// extracted and scored in turn.  Falls back to per-input
     /// quantized passes when any input is mis-shaped, preserving that input's
     /// exact error while still serving the rest.
     fn trace_path_quantized_batch(
@@ -707,16 +687,14 @@ impl DetectionEngine {
             None
         };
         let Some(batch) = fused else {
-            return par_map(inputs, |input| {
-                let trace = qnet.forward_trace(input)?;
-                self.finish_quantized_trace(&trace)
-            });
+            return inputs
+                .iter()
+                .map(|input| self.finish_quantized_trace(&qnet.forward_trace(input)?))
+                .collect();
         };
-        let indices: Vec<usize> = (0..inputs.len()).collect();
-        par_map(&indices, |&i| {
-            let trace = batch.trace(i)?;
-            self.finish_quantized_trace(&trace)
-        })
+        (0..inputs.len())
+            .map(|i| self.finish_quantized_trace(&batch.trace(i)?))
+            .collect()
     }
 
     /// Detects a whole batch through **one fused int8 forward pass** — the
@@ -751,29 +729,7 @@ impl DetectionEngine {
                 })
                 .collect();
         }
-        let obs = self.stage_obs();
-        let start = obs.map(|o| o.registry.clock().now_ns());
-        let traced = self.trace_path_quantized_batch(qnet, inputs);
-        let mid = if let (Some(o), Some(start)) = (obs, start) {
-            let now = o.registry.clock().now_ns();
-            o.trace_ns.record(now.saturating_sub(start));
-            Some(now)
-        } else {
-            None
-        };
-        let verdicts: Vec<Result<(Detection, ActivationPath)>> = traced
-            .into_iter()
-            .map(|r| {
-                let (predicted, similarity, path) = r?;
-                Ok((self.judge(predicted, similarity)?, path))
-            })
-            .collect();
-        if let (Some(o), Some(mid)) = (obs, mid) {
-            o.score_ns
-                .record(o.registry.clock().now_ns().saturating_sub(mid));
-            o.detections.add(verdicts.len() as u64);
-        }
-        verdicts
+        self.judge_timed(|| self.trace_path_quantized_batch(qnet, inputs))
     }
 
     /// Like [`DetectionEngine::detect_batch_quantized_with`] but using the
@@ -974,7 +930,7 @@ impl DetectionEngineBuilder {
                     // every layer's stacked activations at once, so fusing an
                     // arbitrarily large calibration set in one shot would make
                     // peak memory O(set size × total activations).
-                    for chunk in inputs.chunks(CALIBRATION_FUSED_CHUNK) {
+                    for chunk in inputs.chunks(FUSED_CHUNK) {
                         let similarities = trace_path_batch(network, program, class_paths, chunk);
                         for similarity in similarities {
                             features.push(vec![similarity.map(|(_, s, _)| s)?]);

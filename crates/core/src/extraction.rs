@@ -19,10 +19,8 @@
 //! into the forward pass itself:
 //!
 //! * **forward programs** mask each enabled layer's output the moment the
-//!   layer finishes — on multi-core hosts the selection runs on a scoped
-//!   worker thread *overlapped with the next layer's forward compute* — and
-//!   release the activation immediately, so peak resident trace state is
-//!   O(largest layer) instead of O(network);
+//!   layer finishes, on the calling thread, and never retain an activation,
+//!   so the only trace state is the forward pass's current layer;
 //! * **backward programs** retain only the boundaries the reverse walk will
 //!   actually read: enabled weight layers' inputs and outputs, plus the inputs
 //!   of pass-through layers whose routing is data-dependent
@@ -30,33 +28,28 @@
 //!   Early-termination programs drop everything below the first disabled
 //!   weight layer as it streams past.
 //!
+//! There is one streaming pass, the fused-batch one: a single input is
+//! streamed as a batch of one.  Extraction runs entirely on the caller's
+//! thread.  The paper overlaps extraction with the next layer's inference in
+//! hardware (Sec. III-C); `ptolemy-compiler` and `ptolemy-accel` model that
+//! overlap, and the CPU path does not imitate it with threads.
+//!
 //! Streamed and materialized extraction are **bit-for-bit identical**: the
 //! forward compute is the same driver either way, and both feed the same
 //! selection kernels with the same tensors (pinned by `tests/streaming.rs`).
 
 use std::collections::BTreeSet;
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
 use ptolemy_nn::{predicted_class, Contribution, ForwardTrace, Network, TraceSink};
 use ptolemy_tensor::Tensor;
 
-use crate::parallel::par_map;
 use crate::{ActivationPath, CoreError, DetectionProgram, Direction, Result, ThresholdKind};
 
-/// Minimum **enabled** output elements (per-sample, × batch size) before the
-/// streaming forward-program extractor spawns an overlap worker thread: below
-/// this, a thread spawn costs more than the selection it would hide, so
-/// extraction runs inline in the sink (bit-identical either way — the gate
-/// changes scheduling, never arithmetic).
-const OVERLAP_MIN_ELEMENTS: usize = 2048;
-
-/// In-flight bound of the overlap channel: one boundary queued + one being
-/// masked keeps peak resident state at O(largest layer) while still hiding the
-/// selection latency behind the next layer's forward compute.
-const OVERLAP_QUEUE: usize = 1;
+/// Most inputs one fused streamed pass takes when profiling or calibrating
+/// a whole sample set: it bounds peak memory (backward programs retain
+/// their planned stacked boundaries for the whole chunk) while keeping the
+/// fused kernels' amortisation.
+pub(crate) const FUSED_CHUNK: usize = 64;
 
 /// Computes the `(network layer index, mask length)` layout of paths extracted with
 /// `program` on `network`.
@@ -103,8 +96,9 @@ pub fn materialized_trace_bytes(network: &Network, batch_size: usize) -> usize {
 /// Peak activation bytes the streaming extraction pipeline kept resident,
 /// against the bytes a materialized trace would have held.
 ///
-/// "Resident" counts the **trace state** that outlives a layer — retained
-/// boundaries and boundaries queued for the overlap worker.  It deliberately
+/// "Resident" counts the **trace state** that outlives a layer: the
+/// boundaries a backward program retains (forward programs retain none, so
+/// their peak is zero).  It deliberately
 /// excludes state both strategies hold identically, so the two numbers stay
 /// comparable: the driver's transient current-layer input/output, and the
 /// per-sample extraction scratch of backward batches (the streamed walk
@@ -182,11 +176,11 @@ pub fn extract_path(
 /// Runs one forward pass and extracts the activation path **while inferring**:
 /// the streaming counterpart of `forward_trace` + [`extract_path`].
 ///
-/// Forward programs mask each enabled layer's output as soon as the layer
-/// finishes (on a scoped worker thread overlapped with the next layer's
-/// compute, when worthwhile) and release the activation eagerly; backward
-/// programs retain only the boundaries the reverse walk reads.  The returned
-/// path, predicted class and logits are bit-for-bit identical to the
+/// The input is streamed as a fused batch of one
+/// ([`extract_paths_streaming_batch`]): forward programs mask each enabled
+/// layer's output as soon as the layer finishes and release the activation;
+/// backward programs retain only the boundaries the reverse walk reads.  The
+/// returned path, predicted class and logits are bit-for-bit identical to the
 /// materialized pipeline's.
 ///
 /// # Errors
@@ -200,78 +194,64 @@ pub fn extract_path_streaming(
     program: &DetectionProgram,
     input: &Tensor,
 ) -> Result<StreamedExtraction> {
-    stream_single(network, program, input, true)
-}
-
-/// Like [`extract_path_streaming`], but never spawns an overlap worker — for
-/// callers already inside a scoped-thread fan-out (the profiler and the
-/// engine's per-input fallback `par_map` over samples), where an extra worker
-/// per sample has no idle core to hide work on and only adds spawn and
-/// channel overhead.  Bit-for-bit identical results either way.
-pub(crate) fn extract_path_streaming_nested(
-    network: &Network,
-    program: &DetectionProgram,
-    input: &Tensor,
-) -> Result<StreamedExtraction> {
-    stream_single(network, program, input, false)
-}
-
-fn stream_single(
-    network: &Network,
-    program: &DetectionProgram,
-    input: &Tensor,
-    allow_overlap: bool,
-) -> Result<StreamedExtraction> {
-    let layout = path_layout(network, program)?;
-    match program.direction() {
-        Direction::Forward => {
-            stream_forward_single(network, program, input, &layout, allow_overlap)
-        }
-        Direction::Backward => stream_backward_single(network, program, input, &layout),
-    }
+    let (samples, logits, footprint) = stream_batch_with(
+        network,
+        program,
+        std::slice::from_ref(input),
+        &|predicted, path| Ok((predicted, path)),
+    )?;
+    let (predicted_class, path) = samples
+        .into_iter()
+        .next()
+        .ok_or_else(|| CoreError::InvalidInput("a batch of one produced no sample".into()))?;
+    Ok(StreamedExtraction {
+        predicted_class,
+        path,
+        logits: logits.slice_batch(0)?,
+        footprint,
+    })
 }
 
 /// Fused-batch counterpart of [`extract_path_streaming`]: one stacked NCHW
 /// forward pass drives the extraction of every sample's path.
 ///
-/// Forward programs overlap the per-sample masking of layer `i`'s stacked
-/// output with layer `i + 1`'s fused compute and drop each stacked boundary
-/// eagerly; backward programs retain only the planned stacked boundaries and
-/// fan the per-sample reverse walks out over scoped threads.  Sample `b` of
-/// the result is bit-for-bit `extract_path_streaming(network, program,
-/// &inputs[b])`.
+/// Forward programs mask each sample's slice of layer `i`'s stacked output
+/// as soon as the layer finishes and drop the stacked boundary; backward
+/// programs retain only the planned stacked boundaries and then walk each
+/// sample in turn.  Sample `b` of the result is bit-for-bit
+/// `extract_path_streaming(network, program, &inputs[b])`.
 ///
 /// # Errors
 ///
 /// Returns an error if the program does not match the network, if `inputs` is
 /// empty or mis-shaped (the whole fused pass fails — callers wanting
-/// per-input error granularity fall back to the single-input path), or if any
+/// per-input error granularity stream each input on its own), or if any
 /// sample's logits admit no prediction.
 pub fn extract_paths_streaming_batch(
     network: &Network,
     program: &DetectionProgram,
     inputs: &[Tensor],
 ) -> Result<StreamedBatchExtraction> {
-    let (samples, footprint) = stream_batch_with(network, program, inputs, &|predicted, path| {
-        Ok((predicted, path))
-    })?;
+    let (samples, _logits, footprint) =
+        stream_batch_with(network, program, inputs, &|predicted, path| {
+            Ok((predicted, path))
+        })?;
     Ok(StreamedBatchExtraction { samples, footprint })
 }
 
-/// Crate-internal driver behind [`extract_paths_streaming_batch`] and the
-/// engine's fused batch path: `finish(predicted_class, path)` completes each
-/// sample, and for backward programs it runs **inside the per-sample parallel
-/// region**, so engine-level completion work (path-similarity scoring) rides
-/// the same scoped-thread fan-out instead of serialising after it.
+/// The one streaming pass behind every extraction entry point:
+/// `finish(predicted_class, path)` completes each sample in input order, so
+/// engine-level completion work (path-similarity scoring) runs right after
+/// each sample's walk.  Returns the per-sample results, the stacked logits
+/// and the pass's footprint.
 pub(crate) fn stream_batch_with<T, F>(
     network: &Network,
     program: &DetectionProgram,
     inputs: &[Tensor],
     finish: &F,
-) -> Result<(Vec<T>, ActivationFootprint)>
+) -> Result<(Vec<T>, Tensor, ActivationFootprint)>
 where
-    T: Send,
-    F: Fn(usize, ActivationPath) -> Result<T> + Sync,
+    F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let layout = path_layout(network, program)?;
     match program.direction() {
@@ -510,9 +490,9 @@ fn extract_forward<S: BoundarySource + ?Sized>(
     Ok(())
 }
 
-/// The single forward-program masking step shared by the materialized walk,
-/// the inline streaming sink and the overlap worker — one implementation, so
-/// every pipeline is bit-for-bit the same selection.
+/// The single forward-program masking step shared by the materialized walk
+/// and the streaming sink — one implementation, so both pipelines are
+/// bit-for-bit the same selection.
 fn mask_forward_selection(
     path: &mut ActivationPath,
     layer_idx: usize,
@@ -528,29 +508,6 @@ fn mask_forward_selection(
         for idx in selected {
             segment.mask.set(idx);
         }
-    }
-}
-
-/// Peak/current resident-byte accounting shared between a streaming sink (adds
-/// on retain/queue) and its overlap worker (subtracts after masking).
-#[derive(Default)]
-struct Meter {
-    resident: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl Meter {
-    fn add(&self, bytes: usize) {
-        let now = self.resident.fetch_add(bytes, Ordering::SeqCst) + bytes;
-        self.peak.fetch_max(now, Ordering::SeqCst);
-    }
-
-    fn sub(&self, bytes: usize) {
-        self.resident.fetch_sub(bytes, Ordering::SeqCst);
-    }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
     }
 }
 
@@ -599,89 +556,54 @@ fn backward_retention(network: &Network, program: &DetectionProgram) -> Result<V
     Ok(retain)
 }
 
-/// `true` when the forward-program extractor should pay a worker thread to
-/// overlap selection with the next layer's compute: overlap must be allowed
-/// (callers already inside a scoped-thread fan-out pass `false` — an extra
-/// worker per sample has no idle core to hide work on), the host must be
-/// multi-core, and the **enabled** output volume must make the masking work
-/// worth a thread spawn (gating on the whole network would spawn workers for
-/// late-start programs that only ever mask one small layer).
-fn overlap_worthwhile(
-    network: &Network,
-    specs: &[Option<ThresholdKind>],
-    batch_size: usize,
-    allow_overlap: bool,
-) -> bool {
-    if !allow_overlap || ptolemy_nn::available_parallelism() <= 1 {
-        return false;
-    }
-    let enabled_elements: usize = network
-        .layers()
-        .zip(specs)
-        .filter(|(_, spec)| spec.is_some())
-        .map(|(layer, _)| layer.output_len())
-        .sum();
-    enabled_elements.saturating_mul(batch_size) >= OVERLAP_MIN_ELEMENTS
-}
-
-/// Streaming sink for forward programs without an overlap worker: enabled
-/// outputs are masked inline, nothing is ever retained or cloned.
-struct InlineForwardSink<'a> {
+/// Streaming sink for forward programs: masks each sample's slice of every
+/// enabled stacked output the moment the layer finishes; nothing is ever
+/// retained or cloned.
+struct ForwardSink<'a> {
     specs: &'a [Option<ThresholdKind>],
-    path: ActivationPath,
+    paths: Vec<ActivationPath>,
 }
 
-impl TraceSink for InlineForwardSink<'_> {
+impl TraceSink for ForwardSink<'_> {
     fn on_layer(&mut self, index: usize, output: &Tensor) {
-        if let Some(threshold) = self.specs[index] {
-            mask_forward_selection(&mut self.path, index, output.as_slice(), threshold);
-        }
-    }
-}
-
-/// Streaming sink for forward programs with an overlap worker: enabled outputs
-/// are cloned into a bounded channel and masked on the worker while the next
-/// layer computes.
-struct OverlapForwardSink<'a> {
-    specs: &'a [Option<ThresholdKind>],
-    tx: mpsc::SyncSender<(usize, Tensor)>,
-    meter: &'a Meter,
-}
-
-impl TraceSink for OverlapForwardSink<'_> {
-    fn on_layer(&mut self, index: usize, output: &Tensor) {
-        if self.specs[index].is_none() {
+        let Some(threshold) = self.specs[index] else {
             return;
-        }
-        self.meter.add(tensor_bytes(output));
-        // A send error means the worker died; its panic resurfaces at join,
-        // so the boundary is simply dropped here.
-        if self.tx.send((index, output.clone())).is_err() {
-            self.meter.sub(tensor_bytes(output));
+        };
+        // Sample `b` is the `b`-th contiguous slab of the stacked output —
+        // bit-for-bit the per-sample output, so the selection matches the
+        // materialized pipeline exactly.
+        let sample_len = output.len() / self.paths.len();
+        for (path, sample) in self
+            .paths
+            .iter_mut()
+            .zip(output.as_slice().chunks(sample_len.max(1)))
+        {
+            mask_forward_selection(path, index, sample, threshold);
         }
     }
 }
 
 /// Streaming sink for backward programs: retains exactly the planned
-/// boundaries, drops everything else the moment the driver moves on.
+/// boundaries, drops everything else the moment the forward pass moves on.  It
+/// only ever adds boundaries, so the bytes it holds at the end are its peak.
 struct RetainSink<'a> {
     retain: &'a [bool],
     boundaries: Vec<Option<Tensor>>,
-    meter: &'a Meter,
+    retained_bytes: usize,
 }
 
 impl<'a> RetainSink<'a> {
-    fn new(retain: &'a [bool], meter: &'a Meter) -> Self {
+    fn new(retain: &'a [bool]) -> Self {
         RetainSink {
             retain,
             boundaries: vec![None; retain.len()],
-            meter,
+            retained_bytes: 0,
         }
     }
 
     fn keep(&mut self, boundary: usize, activation: &Tensor) {
         if self.retain[boundary] {
-            self.meter.add(tensor_bytes(activation));
+            self.retained_bytes += tensor_bytes(activation);
             self.boundaries[boundary] = Some(activation.clone());
         }
     }
@@ -697,181 +619,25 @@ impl TraceSink for RetainSink<'_> {
     }
 }
 
-/// The overlap scaffolding shared by the single-input and fused-batch forward
-/// extractors: spawns one scoped worker that folds every enabled boundary
-/// into `state` via `mask` while `drive` runs the forward pass on the calling
-/// thread, then joins and pairs the final state with the driver's logits.
-/// Channel close, worker panics (resurfaced via [`resume_unwind`]) and driver
-/// errors resolve identically for every caller.
-fn drive_with_overlap<S, M, D>(
-    specs: &[Option<ThresholdKind>],
-    meter: &Meter,
-    initial: S,
-    mask: M,
-    drive: D,
-) -> Result<(S, Tensor)>
-where
-    S: Send,
-    M: Fn(&mut S, usize, &Tensor, ThresholdKind) -> Result<()> + Send,
-    D: FnOnce(&mut OverlapForwardSink<'_>) -> Result<Tensor>,
-{
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<(usize, Tensor)>(OVERLAP_QUEUE);
-        let worker = scope.spawn(move || -> Result<S> {
-            let mut state = initial;
-            while let Ok((layer_idx, boundary)) = rx.recv() {
-                if let Some(threshold) = specs[layer_idx] {
-                    mask(&mut state, layer_idx, &boundary, threshold)?;
-                }
-                // The boundary dies here — eager release.
-                meter.sub(tensor_bytes(&boundary));
-            }
-            Ok(state)
-        });
-        let mut sink = OverlapForwardSink { specs, tx, meter };
-        let driven = drive(&mut sink);
-        drop(sink); // close the channel so the worker drains and exits
-        let state = worker.join().unwrap_or_else(|panic| resume_unwind(panic))?;
-        Ok((state, driven?))
-    })
-}
-
-fn stream_forward_single(
-    network: &Network,
-    program: &DetectionProgram,
-    input: &Tensor,
-    layout: &[(usize, usize)],
-    allow_overlap: bool,
-) -> Result<StreamedExtraction> {
-    let specs = enabled_specs_by_layer(network, program);
-    let meter = Meter::default();
-    let (path, logits) = if overlap_worthwhile(network, &specs, 1, allow_overlap) {
-        drive_with_overlap(
-            &specs,
-            &meter,
-            ActivationPath::empty(layout),
-            |path, layer_idx, output, threshold| {
-                mask_forward_selection(path, layer_idx, output.as_slice(), threshold);
-                Ok(())
-            },
-            |sink| Ok(network.forward_with_sink(input, sink)?),
-        )?
-    } else {
-        let mut sink = InlineForwardSink {
-            specs: &specs,
-            path: ActivationPath::empty(layout),
-        };
-        let logits = network.forward_with_sink(input, &mut sink)?;
-        (sink.path, logits)
-    };
-    let predicted = predicted_class(&logits).map_err(CoreError::from)?;
-    Ok(StreamedExtraction {
-        predicted_class: predicted,
-        path,
-        logits,
-        footprint: ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
-            materialized_bytes: materialized_trace_bytes(network, 1),
-        },
-    })
-}
-
-fn stream_backward_single(
-    network: &Network,
-    program: &DetectionProgram,
-    input: &Tensor,
-    layout: &[(usize, usize)],
-) -> Result<StreamedExtraction> {
-    let retain = backward_retention(network, program)?;
-    let meter = Meter::default();
-    let mut sink = RetainSink::new(&retain, &meter);
-    let logits = network.forward_with_sink(input, &mut sink)?;
-    let predicted = predicted_class(&logits).map_err(CoreError::from)?;
-    let mut path = ActivationPath::empty(layout);
-    let source = PartialBoundaries {
-        boundaries: &sink.boundaries,
-    };
-    extract_backward(network, &source, predicted, program, &mut path)?;
-    Ok(StreamedExtraction {
-        predicted_class: predicted,
-        path,
-        logits,
-        footprint: ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
-            materialized_bytes: materialized_trace_bytes(network, 1),
-        },
-    })
-}
-
 fn stream_forward_batch<T, F>(
     network: &Network,
     program: &DetectionProgram,
     inputs: &[Tensor],
     layout: &[(usize, usize)],
     finish: &F,
-) -> Result<(Vec<T>, ActivationFootprint)>
+) -> Result<(Vec<T>, Tensor, ActivationFootprint)>
 where
-    T: Send,
-    F: Fn(usize, ActivationPath) -> Result<T> + Sync,
+    F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let specs = enabled_specs_by_layer(network, program);
     let batch = inputs.len();
-    let meter = Meter::default();
-    let (paths, logits) = if overlap_worthwhile(network, &specs, batch, true) {
-        drive_with_overlap(
-            &specs,
-            &meter,
-            vec![ActivationPath::empty(layout); batch],
-            |paths: &mut Vec<ActivationPath>, layer_idx, stacked, threshold| {
-                for (b, path) in paths.iter_mut().enumerate() {
-                    // The slice is bit-for-bit the per-sample output, so the
-                    // selection matches the single-input pipeline exactly.
-                    let output = stacked.slice_batch(b)?;
-                    mask_forward_selection(path, layer_idx, output.as_slice(), threshold);
-                }
-                Ok(())
-            },
-            |sink| Ok(network.forward_with_sink_batch(inputs, sink)?),
-        )?
-    } else {
-        struct InlineBatchSink<'a> {
-            specs: &'a [Option<ThresholdKind>],
-            paths: Vec<ActivationPath>,
-            error: Option<CoreError>,
-        }
-        impl TraceSink for InlineBatchSink<'_> {
-            fn on_layer(&mut self, index: usize, output: &Tensor) {
-                let Some(threshold) = self.specs[index] else {
-                    return;
-                };
-                if self.error.is_some() {
-                    return;
-                }
-                for (b, path) in self.paths.iter_mut().enumerate() {
-                    match output.slice_batch(b) {
-                        Ok(sample) => {
-                            mask_forward_selection(path, index, sample.as_slice(), threshold);
-                        }
-                        Err(e) => {
-                            self.error = Some(e.into());
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        let mut sink = InlineBatchSink {
-            specs: &specs,
-            paths: vec![ActivationPath::empty(layout); batch],
-            error: None,
-        };
-        let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
-        if let Some(error) = sink.error {
-            return Err(error);
-        }
-        (sink.paths, logits)
+    let mut sink = ForwardSink {
+        specs: &specs,
+        paths: vec![ActivationPath::empty(layout); batch],
     };
-    let samples = paths
+    let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
+    let samples = sink
+        .paths
         .into_iter()
         .enumerate()
         .map(|(b, path)| {
@@ -880,13 +646,11 @@ where
             finish(predicted, path)
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok((
-        samples,
-        ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
-            materialized_bytes: materialized_trace_bytes(network, batch),
-        },
-    ))
+    let footprint = ActivationFootprint {
+        peak_streamed_bytes: 0,
+        materialized_bytes: materialized_trace_bytes(network, batch),
+    };
+    Ok((samples, logits, footprint))
 }
 
 fn stream_backward_batch<T, F>(
@@ -895,58 +659,55 @@ fn stream_backward_batch<T, F>(
     inputs: &[Tensor],
     layout: &[(usize, usize)],
     finish: &F,
-) -> Result<(Vec<T>, ActivationFootprint)>
+) -> Result<(Vec<T>, Tensor, ActivationFootprint)>
 where
-    T: Send,
-    F: Fn(usize, ActivationPath) -> Result<T> + Sync,
+    F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let retain = backward_retention(network, program)?;
-    let meter = Meter::default();
-    let mut sink = RetainSink::new(&retain, &meter);
+    let mut sink = RetainSink::new(&retain);
     let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
     let boundaries = sink.boundaries;
-    let indices: Vec<usize> = (0..inputs.len()).collect();
-    let samples = par_map(&indices, |&b| -> Result<T> {
-        // Slice this sample's view of every retained stacked boundary — the
-        // same slices a materialized `BatchTrace::trace(b)` would hand the
-        // walk, so the extraction is bit-for-bit the per-input path.
-        let sliced: Vec<Option<Tensor>> = boundaries
-            .iter()
-            .map(|stacked| {
-                stacked
-                    .as_ref()
-                    .map(|t| t.slice_batch(b))
-                    .transpose()
-                    .map_err(CoreError::from)
-            })
-            .collect::<Result<_>>()?;
-        // The logits boundary is usually already retained and sliced; only
-        // fall back to slicing the driver's stacked logits when it is not.
-        let fallback_logits;
-        let sample_logits = match sliced.last().and_then(Option::as_ref) {
-            Some(retained_logits) => retained_logits,
-            None => {
-                fallback_logits = logits.slice_batch(b)?;
-                &fallback_logits
-            }
-        };
-        let predicted = predicted_class(sample_logits).map_err(CoreError::from)?;
-        let mut path = ActivationPath::empty(layout);
-        let source = PartialBoundaries {
-            boundaries: &sliced,
-        };
-        extract_backward(network, &source, predicted, program, &mut path)?;
-        finish(predicted, path)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>>>()?;
-    Ok((
-        samples,
-        ActivationFootprint {
-            peak_streamed_bytes: meter.peak(),
-            materialized_bytes: materialized_trace_bytes(network, inputs.len()),
-        },
-    ))
+    let samples = (0..inputs.len())
+        .map(|b| -> Result<T> {
+            // Slice this sample's view of every retained stacked boundary —
+            // the same slices a materialized `BatchTrace::trace(b)` would
+            // hand the walk, so the extraction is bit-for-bit the per-input
+            // path.
+            let sliced: Vec<Option<Tensor>> = boundaries
+                .iter()
+                .map(|stacked| {
+                    stacked
+                        .as_ref()
+                        .map(|t| t.slice_batch(b))
+                        .transpose()
+                        .map_err(CoreError::from)
+                })
+                .collect::<Result<_>>()?;
+            // The logits boundary is usually already retained and sliced;
+            // only fall back to slicing the forward pass's stacked logits
+            // when it is not.
+            let fallback_logits;
+            let sample_logits = match sliced.last().and_then(Option::as_ref) {
+                Some(retained_logits) => retained_logits,
+                None => {
+                    fallback_logits = logits.slice_batch(b)?;
+                    &fallback_logits
+                }
+            };
+            let predicted = predicted_class(sample_logits).map_err(CoreError::from)?;
+            let mut path = ActivationPath::empty(layout);
+            let source = PartialBoundaries {
+                boundaries: &sliced,
+            };
+            extract_backward(network, &source, predicted, program, &mut path)?;
+            finish(predicted, path)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let footprint = ActivationFootprint {
+        peak_streamed_bytes: sink.retained_bytes,
+        materialized_bytes: materialized_trace_bytes(network, inputs.len()),
+    };
+    Ok((samples, logits, footprint))
 }
 
 #[cfg(test)]
@@ -1211,6 +972,15 @@ mod tests {
             "streamed peak {} must be under the materialized {} bytes",
             batch.footprint.peak_streamed_bytes,
             batch.footprint.materialized_bytes
+        );
+        // Forward programs mask inline and retain nothing, on every host,
+        // through both the batch and the single-input entry point.
+        assert_eq!(batch.footprint.peak_streamed_bytes, 0);
+        let single = extract_path_streaming(&net, &program, &inputs[0]).unwrap();
+        assert_eq!(single.footprint.peak_streamed_bytes, 0);
+        assert_eq!(
+            single.footprint.materialized_bytes,
+            materialized_trace_bytes(&net, 1)
         );
         // The materialized figure matches what an actual batch trace holds.
         let trace = net.forward_trace_batch(&inputs).unwrap();

@@ -40,11 +40,11 @@
 //! forward pass itself via [`ptolemy_nn::TraceSink`]:
 //!
 //! * **forward programs** select each enabled layer's important neurons the
-//!   moment the layer finishes — on a scoped worker thread *overlapped with
-//!   the next layer's compute* on multi-core hosts — and release the
-//!   activation immediately, holding O(largest layer) instead of O(network)
-//!   activation bytes (Sec. III-C's compiler insight, now the serving hot
-//!   path);
+//!   moment the layer finishes and release the activation immediately,
+//!   holding O(largest layer) instead of O(network) activation bytes
+//!   (Sec. III-C's compiler insight; the overlap of that selection with the
+//!   next layer's compute is modelled by `ptolemy-compiler` and
+//!   `ptolemy-accel`, while the CPU path runs it on the caller's thread);
 //! * **backward programs** retain only the boundaries the reverse walk reads
 //!   (enabled weight layers' inputs/outputs plus data-dependently-routed
 //!   pass-through inputs such as max-pool windows) and drop everything else

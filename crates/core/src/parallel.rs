@@ -1,10 +1,11 @@
-//! Std-only data parallelism for profiling and batched detection.
+//! Std-only order-preserving parallel map.
 //!
-//! The workspace builds without crates.io access, so instead of `rayon` the
-//! profiler and the [`crate::engine::DetectionEngine`] batch path fan work out
-//! with [`std::thread::scope`].  Inputs are split into one contiguous chunk per
-//! available core; order is preserved, so `par_map(xs, f)[i] == f(&xs[i])`
-//! exactly — the property the engine's batch/single parity guarantee rests on.
+//! Profiling and detection run on the caller's thread; this helper remains
+//! for callers outside the inference path (the bench harness's per-input
+//! baselines) that want a one-off fan-out.  The workspace builds without
+//! crates.io access, so instead of `rayon` it uses [`std::thread::scope`].
+//! Inputs are split into one contiguous chunk per available core; order is
+//! preserved, so `par_map(xs, f)[i] == f(&xs[i])` exactly.
 
 use std::thread;
 
@@ -13,9 +14,8 @@ use std::thread;
 /// Spawns at most [`ptolemy_nn::available_parallelism`] scoped threads
 /// (falling back to a serial map for empty or single-element inputs) — the
 /// *cached* core count: the raw `std::thread::available_parallelism` lookup
-/// re-reads cgroup state on Linux (~10µs per call), far too slow to pay on
-/// every batched-extraction fan-out, so the whole workspace shares one cached
-/// read.  Panics in `f` propagate to the caller.
+/// re-reads cgroup state on Linux (~10µs per call), so the whole workspace
+/// shares one cached read.  Panics in `f` propagate to the caller.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,

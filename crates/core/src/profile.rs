@@ -3,16 +3,19 @@
 use ptolemy_nn::Network;
 use ptolemy_tensor::Tensor;
 
-use crate::extraction::{extract_path_streaming, path_layout};
+use crate::extraction::{
+    extract_path_streaming, extract_paths_streaming_batch, path_layout, FUSED_CHUNK,
+};
 use crate::{ActivationPath, ClassPath, ClassPathSet, CoreError, DetectionProgram, Result};
 
 /// Offline profiler: extracts activation paths for correctly-predicted training
 /// samples and aggregates them into per-class canary paths.
 ///
-/// Profiling parallelises over samples with scoped threads
-/// ([`crate::parallel::par_map`]), each sample running through the streaming
-/// extraction pipeline ([`extract_path_streaming`]) so no full trace is ever
-/// materialized; aggregation itself is a cheap sequential OR.
+/// Profiling streams the samples through the fused-batch extraction pipeline
+/// ([`extract_paths_streaming_batch`]) in chunks, on the caller's
+/// thread, so no full trace is ever materialized; aggregation itself is a
+/// cheap sequential OR.  Each sample's path is bit-for-bit what
+/// [`Profiler::extract`] returns for it alone.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     program: DetectionProgram,
@@ -67,27 +70,16 @@ impl Profiler {
         }
         let layout = path_layout(network, &self.program)?;
 
-        let extracted: Vec<Result<Option<(usize, ActivationPath)>>> =
-            crate::parallel::par_map(samples, |(input, label)| {
-                // The nested variant: par_map already saturates the cores, so
-                // per-sample overlap workers would only add spawn overhead.
-                let streamed = crate::extraction::extract_path_streaming_nested(
-                    network,
-                    &self.program,
-                    input,
-                )?;
-                if streamed.predicted_class != *label {
-                    return Ok(None);
-                }
-                Ok(Some((*label, streamed.path)))
-            });
-
         let mut class_paths: Vec<ClassPath> = (0..network.num_classes())
             .map(|c| ClassPath::empty(c, &layout))
             .collect();
-        for item in extracted {
-            if let Some((class, path)) = item? {
-                class_paths[class].aggregate(&path)?;
+        for chunk in samples.chunks(FUSED_CHUNK) {
+            let inputs: Vec<Tensor> = chunk.iter().map(|(input, _)| input.clone()).collect();
+            let extracted = extract_paths_streaming_batch(network, &self.program, &inputs)?;
+            for ((predicted, path), (_, label)) in extracted.samples.into_iter().zip(chunk) {
+                if predicted == *label {
+                    class_paths[*label].aggregate(&path)?;
+                }
             }
         }
         Ok(ClassPathSet::new(class_paths, self.program.fingerprint()))

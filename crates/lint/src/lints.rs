@@ -61,6 +61,12 @@ pub const LINTS: &[(&str, &str)] = &[
          audited crates/tensor/src/quant.rs module — call its QuantParams API instead",
     ),
     (
+        "thread-spawn",
+        "inference runs on its caller's thread; thread::scope/spawn/Builder in library code \
+         re-adds a per-call fan-out — threads live only in the serve workers and the two \
+         parallel.rs helpers",
+    ),
+    (
         "suppression",
         "malformed lint:allow comment (unknown lint name, or missing the mandatory ': reason')",
     ),
@@ -78,6 +84,7 @@ pub const RELAXED_IN_TESTS: &[&str] = &[
     "todo-marker",
     "raw-instant",
     "raw-numeric-cast",
+    "thread-spawn",
 ];
 
 /// `true` if `name` names a registered lint.
@@ -178,13 +185,24 @@ pub fn check_file(path: &str, tokens: &[Token], context: &FileContext) -> Vec<Fi
                         .into(),
                 );
             }
+            Some(name @ ("scope" | "spawn" | "Builder")) if prev2_path(i, "thread") => {
+                emit(
+                    "thread-spawn",
+                    token,
+                    format!(
+                        "thread::{name} in library code — kernels, extractors and engine calls \
+                         run on their caller's thread; threads belong to the serve workers and \
+                         the parallel.rs helpers (allowed in lint.toml)"
+                    ),
+                );
+            }
             Some("channel") if prev2_path(i, "mpsc") => {
                 emit(
                     "unbounded-channel",
                     token,
                     "mpsc::channel() is unbounded — a slow consumer piles work up without \
-                     backpressure; use mpsc::sync_channel(bound) like the serve/extraction \
-                     overlap workers"
+                     backpressure; use mpsc::sync_channel(bound) like the serve escalation \
+                     handoff"
                         .into(),
                 );
             }
@@ -688,6 +706,27 @@ mod tests {
              }"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn thread_spawn_fires_in_library_code_only() {
+        for call in [
+            "std::thread::scope(|s| { s.spawn(|| go()); });",
+            "let h = thread::spawn(go);",
+            "let b = std::thread::Builder::new();",
+        ] {
+            assert_eq!(
+                lints_of(&strict(&format!("fn f() {{ {call} }}"))),
+                vec!["thread-spawn"],
+                "{call}"
+            );
+        }
+        // Other thread APIs, method calls on a scope and prose stay legal.
+        assert!(strict("fn f() { std::thread::sleep(d); let t = thread::current(); }").is_empty());
+        assert!(strict("fn f(s: &Scope) { s.spawn(go); }").is_empty());
+        assert!(strict("fn f() { // thread::spawn in prose\n }").is_empty());
+        // Tests may spawn threads freely.
+        assert!(strict("#[test]\nfn t() { std::thread::spawn(go); }").is_empty());
     }
 
     #[test]

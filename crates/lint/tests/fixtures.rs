@@ -39,6 +39,7 @@ fn positive_fixture_trips_every_lint() {
             "panic-in-worker", // panic!("boom")
             "raw-instant",
             "raw-numeric-cast",
+            "thread-spawn",
             "todo-marker",
             "unbounded-channel",
             "undocumented-unsafe",

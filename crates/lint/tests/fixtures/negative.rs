@@ -59,6 +59,13 @@ fn range_not_float() -> u32 {
     (1..8).sum()
 }
 
+fn thread_apis_that_spawn_nothing() -> std::thread::ThreadId {
+    // Sleeping and reading the current thread never spawn; the spawners in a
+    // comment (thread::spawn, thread::scope) are prose, not calls.
+    std::thread::sleep(std::time::Duration::from_millis(0));
+    std::thread::current().id()
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -67,5 +74,10 @@ mod tests {
         assert_eq!(v.unwrap(), 3);
         let nan = f32::NAN;
         assert!(!(nan == nan));
+    }
+
+    #[test]
+    fn tests_may_spawn_threads() {
+        std::thread::spawn(|| ()).join().unwrap();
     }
 }

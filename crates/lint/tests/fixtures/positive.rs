@@ -49,3 +49,12 @@ fn lossy_quantize(x: f32) -> i8 {
     // raw-numeric-cast: saturating rounding casts live in the quant module.
     (x * 127.0) as i8
 }
+
+fn fan_out(items: &[u32]) {
+    // thread-spawn: library code runs on its caller's thread.
+    std::thread::scope(|scope| {
+        for item in items {
+            scope.spawn(move || item + 1);
+        }
+    });
+}

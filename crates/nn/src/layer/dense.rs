@@ -1,6 +1,6 @@
 use ptolemy_tensor::{Initializer, Rng64, Tensor};
 
-use crate::batch::{check_batch, par_row_chunks};
+use crate::batch::check_batch;
 use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Fully-connected layer: `y = W·x + b` with `W` of shape `[outputs, inputs]`.
@@ -138,11 +138,7 @@ impl Layer for Dense {
         for row in out.chunks_mut(outputs) {
             row.copy_from_slice(b);
         }
-        par_row_chunks(&mut out, batch_size, outputs, |first_sample, chunk| {
-            let samples = chunk.len() / outputs;
-            let x = &xs[first_sample * inputs..(first_sample + samples) * inputs];
-            ptolemy_tensor::gemm_nt_into(chunk, x, w, samples, inputs, outputs);
-        });
+        ptolemy_tensor::gemm_nt_into(&mut out, xs, w, batch_size, inputs, outputs);
         Ok(Tensor::from_vec(out, &[batch_size, outputs])?)
     }
 

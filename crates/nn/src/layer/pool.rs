@@ -1,6 +1,6 @@
 use ptolemy_tensor::Tensor;
 
-use crate::batch::{check_batch, par_row_chunks};
+use crate::batch::check_batch;
 use crate::{Contribution, Layer, LayerGrads, LayerKind, NnError, Result};
 
 /// Shared geometry for the pooling layers.
@@ -81,45 +81,42 @@ impl PoolGeom {
     /// Fused batch pass shared by both pooling layers: every output window is
     /// reduced by `fold` over exactly the window-index sequence the
     /// single-sample kernel visits ([`PoolGeom::window_indices`] order —
-    /// `wy` outer, `wx` inner), sample slabs are independent, and samples are
-    /// partitioned over threads — so the result is bit-for-bit identical to
-    /// the per-input loop, while the fused pass skips the per-window index
-    /// `Vec` the single-sample path allocates.
+    /// `wy` outer, `wx` inner) and sample slabs are independent — so the
+    /// result is bit-for-bit identical to the per-input loop, while the fused
+    /// pass skips the per-window index `Vec` the single-sample path allocates.
     fn forward_batch_with(
         &self,
         batch: &Tensor,
         layer: &str,
         init: f32,
-        fold: impl Fn(f32, f32) -> f32 + Sync,
-        finish: impl Fn(f32) -> f32 + Sync,
+        fold: impl Fn(f32, f32) -> f32,
+        finish: impl Fn(f32) -> f32,
     ) -> Result<Tensor> {
         let batch_size = check_batch(batch, &self.in_shape(), layer)?;
-        let xs = batch.as_slice();
         let in_len = self.channels * self.in_h * self.in_w;
         let out_len = self.channels * self.out_h * self.out_w;
         let mut out = vec![0.0f32; batch_size * out_len];
-        par_row_chunks(&mut out, batch_size, out_len, |first_sample, chunk| {
-            for (s, sample_out) in chunk.chunks_mut(out_len).enumerate() {
-                let x = &xs[(first_sample + s) * in_len..(first_sample + s + 1) * in_len];
-                let mut idx = 0usize;
-                for c in 0..self.channels {
-                    for oy in 0..self.out_h {
-                        for ox in 0..self.out_w {
-                            let mut acc = init;
-                            for wy in 0..self.window {
-                                let y = oy * self.stride + wy;
-                                let row = (c * self.in_h + y) * self.in_w + ox * self.stride;
-                                for wx in 0..self.window {
-                                    acc = fold(acc, x[row + wx]);
-                                }
+        for b in 0..batch_size {
+            let x = &batch.as_slice()[b * in_len..(b + 1) * in_len];
+            let sample_out = &mut out[b * out_len..(b + 1) * out_len];
+            let mut idx = 0usize;
+            for c in 0..self.channels {
+                for oy in 0..self.out_h {
+                    for ox in 0..self.out_w {
+                        let mut acc = init;
+                        for wy in 0..self.window {
+                            let y = oy * self.stride + wy;
+                            let row = (c * self.in_h + y) * self.in_w + ox * self.stride;
+                            for wx in 0..self.window {
+                                acc = fold(acc, x[row + wx]);
                             }
-                            sample_out[idx] = finish(acc);
-                            idx += 1;
                         }
+                        sample_out[idx] = finish(acc);
+                        idx += 1;
                     }
                 }
             }
-        });
+        }
         let mut dims = vec![batch_size];
         dims.extend(self.out_shape());
         Ok(Tensor::from_vec(out, &dims)?)

@@ -44,7 +44,7 @@
 
 use std::sync::Arc;
 
-use ptolemy_tensor::gemm_i8::{matmul_i8_blocked_nt, matmul_i8_parallel, matmul_i8_parallel_nt};
+use ptolemy_tensor::gemm_i8::{matmul_i8_blocked, matmul_i8_blocked_nt};
 use ptolemy_tensor::quant::{quantize_slice, tensor_max_abs, QuantParams};
 use ptolemy_tensor::{im2col_i8, im2col_i8_batch, Conv2dGeometry, Tensor};
 
@@ -245,7 +245,7 @@ impl QuantizedNetwork {
                 let qcols = im2col_i8(input, geometry, slot.act)?;
                 let patches = geometry.num_patches();
                 let patch_len = geometry.patch_len();
-                let acc = matmul_i8_parallel(qweight, &qcols, *out_channels, patch_len, patches)?;
+                let acc = matmul_i8_blocked(qweight, &qcols, *out_channels, patch_len, patches)?;
                 let scale = slot.act.scale() * wparams.scale();
                 let mut out = vec![0.0f32; out_channels * patches];
                 for (oc, (chunk, b)) in out.chunks_mut(patches).zip(bias).enumerate() {
@@ -292,7 +292,7 @@ impl QuantizedNetwork {
                 // per-element expression is identical to the single-input
                 // path's, so slicing the batch preserves bits.
                 let qx = quantize_slice(batch.as_slice(), slot.act);
-                let acc = matmul_i8_parallel_nt(&qx, qweight, b_sz, *inputs, *outputs)?;
+                let acc = matmul_i8_blocked_nt(&qx, qweight, b_sz, *inputs, *outputs)?;
                 let scale = slot.act.scale() * wparams.scale();
                 let mut out = vec![0.0f32; b_sz * *outputs];
                 for (orow, arow) in out.chunks_mut(*outputs).zip(acc.chunks(*outputs)) {
@@ -320,7 +320,7 @@ impl QuantizedNetwork {
                 // bit-for-bit column `j` of the per-sample lowering.
                 let qcols = im2col_i8_batch(batch, geometry, slot.act)?;
                 let cols = b_sz * patches;
-                let acc = matmul_i8_parallel(qweight, &qcols, *out_channels, patch_len, cols)?;
+                let acc = matmul_i8_blocked(qweight, &qcols, *out_channels, patch_len, cols)?;
                 let scale = slot.act.scale() * wparams.scale();
                 // Re-layout [out_c, B * patches] -> [B, out_c, out_h, out_w],
                 // requantizing on the way out.

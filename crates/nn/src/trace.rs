@@ -29,9 +29,9 @@ use crate::{NnError, Result};
 /// O(largest layer) memory.  For the batched driver the tensors are stacked
 /// (`[B] ++ shape`, NCHW).
 ///
-/// Sinks are infallible by design — a sink that can fail (e.g. a channel to a
-/// worker thread) records the failure internally and surfaces it after the
-/// drive; the forward pass itself never turns back.
+/// Sinks are infallible by design — a sink whose own work can fail (e.g.
+/// slicing a stacked boundary per sample) records the failure internally and
+/// surfaces it after the drive; the forward pass itself never turns back.
 pub trait TraceSink {
     /// Observes the activation entering layer 0 (boundary 0).
     fn on_input(&mut self, _input: &Tensor) {}

@@ -117,11 +117,21 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts.  The parser recurses once
+/// per level, so without a bound a hostile artifact (a persisted cache file,
+/// say) of a million `[` bytes would overflow the stack and abort the process
+/// instead of returning an error.  Real artifacts nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (artifact subset).
+///
+/// Documents nesting arrays/objects deeper than [`MAX_DEPTH`] are rejected
+/// with an error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_whitespace();
@@ -134,6 +144,8 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -167,14 +179,31 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek()? {
             b'"' => Ok(JsonValue::String(self.string()?)),
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'0'..=b'9' => self.number(),
             other => Err(format!(
                 "unexpected character '{}' at byte {}",
                 other as char, self.pos
             )),
         }
+    }
+
+    /// Parses one array/object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -354,6 +383,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        // A million unclosed brackets used to overflow the stack; now the
+        // parser stops at the depth limit with an error.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+        // A well-formed document exactly at the limit still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut value = &parse(&deepest).unwrap();
+        for _ in 1..MAX_DEPTH {
+            value = &value.as_array().unwrap()[0];
+        }
+        assert_eq!(value, &JsonValue::Array(vec![]));
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&too_deep).is_err());
     }
 
     #[test]

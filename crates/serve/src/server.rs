@@ -791,7 +791,7 @@ fn write_snapshot(shared: &Shared, path: &std::path::Path) {
 /// batch *k* runs concurrently with screening of batch *k+1*), repeat until
 /// shutdown drains the queue.
 fn worker_loop(shared: &Shared) {
-    // The overlap thread mirrors core's streaming-extraction overlap worker: a
+    // The overlap thread is the only inference thread besides the worker: a
     // bounded rendezvous (sync_channel(1)) so at most one tier-2 sliver waits
     // while one executes — tier-2 work can lag the screen by a batch, never
     // pile up unboundedly.  When the channel is full the sliver runs inline

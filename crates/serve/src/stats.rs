@@ -73,15 +73,14 @@ pub struct ServeStats {
     /// without tiered routing).  Sums to [`ServeStats::escalated`].
     pub shard_escalations: Vec<u64>,
     /// Batches whose tier-2 escalation sliver was handed to the worker's
-    /// overlap thread, so tier-2 extraction of batch *k* ran concurrently with
+    /// escalation thread, so tier-2 extraction of batch *k* ran concurrently with
     /// tier-1 screening of batch *k+1*.  Only batches with at least one
     /// escalated request count here or in [`ServeStats::serial_batches`].
     pub pipelined_batches: u64,
     /// Batches whose tier-2 sliver ran inline on the worker — pipelining
     /// disabled ([`crate::ServerBuilder::pipeline_escalation`]), or the
-    /// overlap thread was still busy with the previous batch (the handoff is
-    /// bounded, like core's streaming-extraction overlap worker, so tier-2
-    /// work can never pile up unboundedly).
+    /// escalation thread was still busy with the previous batch (the handoff
+    /// is a bounded channel, so tier-2 work can never pile up unboundedly).
     pub serial_batches: u64,
     /// Requests resolved from the path-prefix result cache.
     pub cache_hits: u64,

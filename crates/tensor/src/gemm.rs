@@ -320,8 +320,9 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// serial blocked kernel — per-element arithmetic is untouched, so the result
 /// is bit-for-bit [`matmul_blocked`] (and therefore the naive kernel).
 ///
-/// Used by the fused batched conv kernel in `ptolemy-nn` and by
-/// [`Tensor::matmul`] for large products; benchmarks call it directly.
+/// Used by [`Tensor::matmul`] for large products (which is how the fused
+/// batched conv kernel in `ptolemy-nn` reaches it); benchmarks call it
+/// directly.
 ///
 /// # Errors
 ///

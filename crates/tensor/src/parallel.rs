@@ -1,11 +1,10 @@
 //! Shared scoped-thread helpers: the cached core count and the row-chunk
-//! partitioner every parallel kernel in the workspace builds on.
+//! partitioner behind the row-parallel GEMM kernels.
 //!
-//! These lived in `ptolemy-nn` while only the fused batch kernels
-//! parallelised; they moved down into the tensor crate so that large
-//! standalone [`crate::Tensor::matmul`] calls can fan rows out too.
-//! `ptolemy_nn::available_parallelism` remains the workspace-facing accessor
-//! and delegates here.
+//! Layers and extraction run on their caller's thread; the only library
+//! caller that fans out is [`crate::Tensor::matmul`], and only for large
+//! standalone products (see `gemm::parallel_worthwhile`).
+//! `ptolemy_nn::available_parallelism` re-exports the accessor.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;

@@ -10,7 +10,7 @@ mod common;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use ptolemy::core::{variants, DetectionEngine, Profiler};
+use ptolemy::core::{variants, Detection, DetectionEngine, Profiler};
 use ptolemy::nn::Network;
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::Rng64;
@@ -213,4 +213,57 @@ fn fused_batch_keeps_per_input_error_granularity() {
     }
     // The all-or-nothing surface reports the first error.
     assert!(engine.detect_batch(&inputs).is_err());
+}
+
+/// Bit-level equality of two verdicts.
+fn same_bits(a: &Detection, b: &Detection) -> bool {
+    a.score.to_bits() == b.score.to_bits()
+        && a.similarity.to_bits() == b.similarity.to_bits()
+        && a.is_adversary == b.is_adversary
+        && a.predicted_class == b.predicted_class
+}
+
+/// The single-input entry points are the batch core on a batch of one:
+/// `detect(x)` is bit-for-bit `detect_batch_with_paths(&[x])[0]` for every
+/// `variants::*` engine, and the int8 twins agree the same way.
+#[test]
+fn single_input_detect_is_the_batch_of_one_in_f32_and_int8() {
+    let fx = fixture();
+    let inputs = batch(11, 6, 0.7);
+    for (name, engine) in &fx.engines {
+        // The same detector with an int8 network attached: identical program,
+        // canary paths, forest and threshold, so only the forward pass differs.
+        let quantized = DetectionEngine::builder(
+            fx.network.clone(),
+            engine.program().clone(),
+            engine.class_paths().clone(),
+        )
+        .forest(engine.forest().unwrap().clone())
+        .threshold(engine.threshold())
+        .quantized(&fx.inputs[..8])
+        .build()
+        .unwrap();
+        for input in &inputs {
+            let one = std::slice::from_ref(input);
+
+            let single = engine.detect(input).unwrap();
+            let (batched, path) = engine.detect_batch_with_paths(one).remove(0).unwrap();
+            assert!(
+                same_bits(&single, &batched),
+                "{name}: detect {single:?} != batch of one {batched:?}"
+            );
+            let (_, single_path) = engine.detect_with_path(input).unwrap();
+            assert_eq!(path, single_path, "{name}: paths differ");
+
+            let q_single = quantized.detect_quantized(input).unwrap();
+            let (q_batched, _) = quantized
+                .detect_batch_quantized_with_paths(one)
+                .remove(0)
+                .unwrap();
+            assert!(
+                same_bits(&q_single, &q_batched),
+                "{name}: int8 detect {q_single:?} != batch of one {q_batched:?}"
+            );
+        }
+    }
 }
