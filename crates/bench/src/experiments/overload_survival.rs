@@ -9,7 +9,12 @@
 //! generator offers Poisson traffic at multiples of the small-batch rate for
 //! the inert low end of the sweep and multiples of the fused rate for the
 //! genuinely-overloaded high end (loads between the two are absorbed by
-//! batch fusion and never build a backlog).  At
+//! batch fusion and never build a backlog).  The fused rate is the best of
+//! several probes, and every trace at the gated point opens with a burst of
+//! a full queue's worth of requests at once, so that point starts backlogged
+//! past the degrade watermark by construction: a probe slowed by a
+//! co-scheduled process can no longer leave the "overload" point too light
+//! to build a backlog.  At
 //! each offered load the same trace replays twice — once with admission
 //! control + EDF deadlines only, once with degradation added — so the
 //! goodput (completions inside their deadline) comparison is paired.  Hard
@@ -28,7 +33,7 @@ use std::time::Duration;
 
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, DetectionEngine};
-use ptolemy_data::{Arrivals, WorkloadSpec, WorkloadTrace};
+use ptolemy_data::{Arrivals, RequestEvent, WorkloadSpec};
 use ptolemy_obs::Clock;
 use ptolemy_serve::{
     AdmissionPolicy, DegradePolicy, ServeError, ServeStats, Server, ShedReason, Ticket,
@@ -58,6 +63,13 @@ const OFFERED: [(&str, f64, Capacity); 4] = [
     ("4.0 (fused)", 4.0, Capacity::Fused),
 ];
 
+/// The offered-load point the goodput gate sits on: 2.0x the fused rate,
+/// where the gap between screen-only and two-tier service capacity is
+/// structural (at 4.0x the per-class deadlines — which scale with the
+/// offered rate — get so tight that both runs collapse toward zero and the
+/// comparison degenerates toward a tie).
+const GATED: usize = 2;
+
 /// Which probed capacity an offered-load point is a multiple of.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Capacity {
@@ -66,6 +78,23 @@ enum Capacity {
     /// The submit-all probe (every request queued up front, batches fuse).
     Fused,
 }
+
+/// Submit-all probes of the fused capacity; the offered load is a multiple of
+/// the fastest.  One probe serves the pool in about ten milliseconds, so a
+/// co-scheduled process can halve a single reading, and an under-read
+/// capacity offers the "overload" points too little work to build a backlog.
+const FUSED_PROBES: usize = 5;
+
+/// Requests at the head of every gated-point trace that arrive together at
+/// t = 0: a full queue's worth, deeper than the degrade watermark, so the
+/// gated point is overloaded from its first event whatever the probes read.
+const OVERLOAD_BURST: usize = QUEUE_CAPACITY;
+
+/// Least number of requests in a gated-point trace: eight queues' worth, so
+/// the overload outlasts what the bounded queue can absorb and the goodput
+/// gap between the two runs is set by their service rates, not by the
+/// scheduling noise of a few batches.
+const OVERLOAD_REQUESTS: usize = 8 * QUEUE_CAPACITY;
 
 /// Degradation watermarks: enter at half the queue, recover at 1/8th.
 const DEGRADE: DegradePolicy = DegradePolicy {
@@ -84,6 +113,8 @@ const DEADLINE_FACTOR: f64 = 64.0;
 /// Outcome of one open-loop trace replay.
 struct Replay {
     stats: ServeStats,
+    /// Requests the trace offered.
+    offered: u64,
     /// Submissions rejected at the door (admission shed + full queue).
     dropped: u64,
     /// Tickets that resolved as expired in the queue.
@@ -111,21 +142,21 @@ impl Replay {
     }
 }
 
-/// Replays `trace` against `server` open-loop: each event is submitted at
+/// Replays `events` against `server` open-loop: each event is submitted at
 /// its nominal arrival time with its deadline budget; a full queue or an
 /// admission rejection drops the request instead of blocking (open-loop
 /// traffic does not wait politely).
 fn replay(
     server: Server,
     screen: &DetectionEngine,
-    trace: &WorkloadTrace,
+    events: &[RequestEvent],
     pool: &[Tensor],
 ) -> BenchResult<Replay> {
     let clock = Clock::monotonic();
     let start_ns = clock.now_ns();
-    let mut tickets: Vec<(usize, Ticket)> = Vec::with_capacity(trace.len());
+    let mut tickets: Vec<(usize, Ticket)> = Vec::with_capacity(events.len());
     let mut dropped = 0u64;
-    for (index, event) in trace.events().iter().enumerate() {
+    for (index, event) in events.iter().enumerate() {
         let target_ns = start_ns + event.arrival_ns;
         let now_ns = clock.now_ns();
         if now_ns < target_ns {
@@ -165,6 +196,7 @@ fn replay(
     let p99_ms = stats.p99_latency_ms;
     Ok(Replay {
         stats,
+        offered: events.len() as u64,
         dropped,
         expired,
         degraded,
@@ -261,37 +293,65 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         (probe_ns.saturating_mul(WORKERS as u64) / pool.len().max(1) as u64).max(1);
     let capacity_rps = pool.len() as f64 / (probe_ns as f64 / 1e9);
 
-    // Fused capacity probe: everything queued up front, so the adaptive batch
-    // former fuses maximal batches.  This is the server's true saturation
-    // throughput — typically an order of magnitude above the small-batch rate
-    // — and the rate an offered load must exceed to genuinely overwhelm it.
-    let probe = Server::builder(screen.clone())
-        .escalate(expensive.clone(), band.0, band.1)
-        .workers(WORKERS)
-        .queue_capacity(pool.len().max(1))
-        .start()?;
-    let fused_start_ns = clock.now_ns();
-    let fused_tickets: Vec<Ticket> = pool
-        .iter()
-        .map(|x| probe.submit(x.clone()))
-        .collect::<Result<_, _>>()?;
-    for ticket in fused_tickets {
-        ticket.wait()?;
+    // Fused capacity probes: everything queued up front, so the adaptive
+    // batch former fuses maximal batches.  This is the server's true
+    // saturation throughput — typically an order of magnitude above the
+    // small-batch rate — and the rate an offered load must exceed to
+    // genuinely overwhelm it.  The fastest probe is the least disturbed one.
+    let mut fused_ns = u64::MAX;
+    for _ in 0..FUSED_PROBES {
+        let probe = Server::builder(screen.clone())
+            .escalate(expensive.clone(), band.0, band.1)
+            .workers(WORKERS)
+            .queue_capacity(pool.len().max(1))
+            .start()?;
+        let fused_start_ns = clock.now_ns();
+        let fused_tickets: Vec<Ticket> = pool
+            .iter()
+            .map(|x| probe.submit(x.clone()))
+            .collect::<Result<_, _>>()?;
+        for ticket in fused_tickets {
+            ticket.wait()?;
+        }
+        fused_ns = fused_ns.min(clock.now_ns().saturating_sub(fused_start_ns).max(1));
+        probe.shutdown();
     }
-    let fused_ns = clock.now_ns().saturating_sub(fused_start_ns).max(1);
-    probe.shutdown();
     let fused_capacity_rps = pool.len() as f64 / (fused_ns as f64 / 1e9);
 
-    // Translate "mult × capacity" into the generator's utilization knob:
-    // rate = utilization / mean_service, so utilization = rate × service.
-    let utilization_of = |mult: f64, relative_to: Capacity| -> f64 {
-        match relative_to {
+    let requests = limit * 6;
+    // The trace of one offered-load point.  "mult × capacity" becomes the
+    // generator's utilization knob (rate = utilization / mean_service, so
+    // utilization = rate × service); the gated point's trace holds at least
+    // `OVERLOAD_REQUESTS` requests and opens with the `OVERLOAD_BURST` burst.
+    let events_at = |seed: u64, point: usize| -> BenchResult<Vec<RequestEvent>> {
+        let (_, mult, relative_to) = OFFERED[point];
+        let total_utilization = match relative_to {
             Capacity::SmallBatch => mult * WORKERS as f64,
             Capacity::Fused => mult * fused_capacity_rps * per_request_ns as f64 / 1e9,
+        };
+        let spec = WorkloadSpec {
+            seed,
+            requests: if point == GATED {
+                requests.max(OVERLOAD_REQUESTS)
+            } else {
+                requests
+            },
+            classes: 3,
+            total_utilization,
+            mean_service_ns: per_request_ns,
+            weibull_shape: 1.5,
+            deadline_factor: DEADLINE_FACTOR,
+            arrivals: Arrivals::Poisson,
+        };
+        let mut events = spec.generate()?.events().to_vec();
+        if point == GATED {
+            for event in events.iter_mut().take(OVERLOAD_BURST) {
+                event.arrival_ns = 0;
+            }
         }
+        Ok(events)
     };
 
-    let requests = limit * 6;
     let mut table = Table::new(
         "Overload survival — goodput vs offered load, admission + EDF deadlines \
          with and without mixed-criticality degradation",
@@ -307,20 +367,10 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     ]);
 
     let mut results: Vec<(&str, Replay, Replay)> = Vec::new();
-    for (point, &(label, mult, relative_to)) in OFFERED.iter().enumerate() {
-        let spec = WorkloadSpec {
-            seed: 0x0BE5 + point as u64,
-            requests,
-            classes: 3,
-            total_utilization: utilization_of(mult, relative_to),
-            mean_service_ns: per_request_ns,
-            weibull_shape: 1.5,
-            deadline_factor: DEADLINE_FACTOR,
-            arrivals: Arrivals::Poisson,
-        };
-        let trace = spec.generate()?;
-        let undegraded = replay(build(true, false)?, &screen, &trace, &pool)?;
-        let degraded = replay(build(true, true)?, &screen, &trace, &pool)?;
+    for (point, &(label, _, _)) in OFFERED.iter().enumerate() {
+        let events = events_at(0x0BE5 + point as u64, point)?;
+        let undegraded = replay(build(true, false)?, &screen, &events, &pool)?;
+        let degraded = replay(build(true, true)?, &screen, &events, &pool)?;
         table.row([
             label.to_string(),
             undegraded.goodput().to_string(),
@@ -333,30 +383,14 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
         results.push((label, undegraded, degraded));
     }
 
-    // The goodput gate sits on the 2.0x-fused point, where the gap between
-    // screen-only and two-tier service capacity is structural (at 4.0x the
-    // per-class deadlines — which scale with the offered rate — get so tight
-    // that both runs collapse toward zero and the comparison degenerates to
-    // a tie).  One open-loop replay's goodput delta is within scheduling
-    // noise of zero, so the gate sums three seed-varied paired trials: the
-    // displayed row plus two more.
-    const GATED: usize = 2;
-    let (_, gated_mult, gated_relative_to) = OFFERED[GATED];
+    // The goodput gate sums three seed-varied paired trials at the gated
+    // point — the displayed row plus two more — so one replay's scheduling
+    // noise cannot flip the comparison.
     let mut extra_trials: Vec<(Replay, Replay)> = Vec::new();
     for trial in 0..2u64 {
-        let spec = WorkloadSpec {
-            seed: 0x1BE5 + trial,
-            requests,
-            classes: 3,
-            total_utilization: utilization_of(gated_mult, gated_relative_to),
-            mean_service_ns: per_request_ns,
-            weibull_shape: 1.5,
-            deadline_factor: DEADLINE_FACTOR,
-            arrivals: Arrivals::Poisson,
-        };
-        let trace = spec.generate()?;
-        let undegraded = replay(build(true, false)?, &screen, &trace, &pool)?;
-        let degraded = replay(build(true, true)?, &screen, &trace, &pool)?;
+        let events = events_at(0x1BE5 + trial, GATED)?;
+        let undegraded = replay(build(true, false)?, &screen, &events, &pool)?;
+        let degraded = replay(build(true, true)?, &screen, &events, &pool)?;
         extra_trials.push((undegraded, degraded));
     }
     let gate_trials: Vec<(&Replay, &Replay)> =
@@ -375,25 +409,15 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     // Uncontrolled contrast: no deadlines, no admission, no degradation —
     // the gated overload trace just piles onto the bounded queue with
     // blocking submissions, and latency eats the whole backlog.
-    let overload_spec = WorkloadSpec {
-        seed: 0x0BE5 + GATED as u64,
-        requests,
-        classes: 3,
-        total_utilization: utilization_of(gated_mult, gated_relative_to),
-        mean_service_ns: per_request_ns,
-        weibull_shape: 1.5,
-        deadline_factor: DEADLINE_FACTOR,
-        arrivals: Arrivals::Poisson,
-    };
-    let overload_trace = overload_spec.generate()?;
+    let overload_events = events_at(0x0BE5 + GATED as u64, GATED)?;
     let uncontrolled = Server::builder(screen.clone())
         .escalate(expensive.clone(), band.0, band.1)
         .workers(WORKERS)
         .queue_capacity(QUEUE_CAPACITY)
         .start()?;
     let uc_start_ns = clock.now_ns();
-    let mut uc_tickets = Vec::with_capacity(overload_trace.len());
-    for (index, event) in overload_trace.events().iter().enumerate() {
+    let mut uc_tickets = Vec::with_capacity(overload_events.len());
+    for (index, event) in overload_events.iter().enumerate() {
         let target_ns = uc_start_ns + event.arrival_ns;
         let now_ns = clock.now_ns();
         if now_ns < target_ns {
@@ -441,14 +465,17 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
 
     table.note(format!(
         "probed capacity {:.0} req/s small-batch ({} ns/request, {WORKERS} workers), \
-         {:.0} req/s fused; {} requests per offered-load point, Poisson arrivals, UUniFast \
+         {:.0} req/s fused; {} requests per offered-load point ({} at 2.0x fused), \
+         Poisson arrivals, UUniFast \
          over 3 classes, Weibull(1.5) sizes, deadlines {DEADLINE_FACTOR}x each class period; \
          band [{:.3}, {:.3}]; queue {QUEUE_CAPACITY}, degrade watermarks {}/{}; \
-         goodput gate sums 3 paired trials at 2.0x fused",
+         goodput gate sums 3 paired trials at 2.0x fused (best of {FUSED_PROBES} probes), \
+         each opening with a {OVERLOAD_BURST}-request burst",
         capacity_rps,
         per_request_ns,
         fused_capacity_rps,
         requests,
+        requests.max(OVERLOAD_REQUESTS),
         band.0,
         band.1,
         DEGRADE.high_watermark,
@@ -485,8 +512,8 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             .map(|(_, a, b)| (a, b))
             .chain(extra_trials.iter().map(|(a, b)| (a, b)))
             .all(|(a, b)| {
-                a.stats.completed + a.expired + a.dropped == requests as u64
-                    && b.stats.completed + b.expired + b.dropped == requests as u64
+                a.stats.completed + a.expired + a.dropped == a.offered
+                    && b.stats.completed + b.expired + b.dropped == b.offered
             }),
     );
     table.timing_check(

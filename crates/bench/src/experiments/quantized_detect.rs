@@ -13,8 +13,10 @@
 //! is advisory wall-clock shape.
 
 use ptolemy_attacks::Fgsm;
-use ptolemy_core::{variants, DetectionEngine};
+use ptolemy_core::{variants, Detection, DetectionEngine};
+use ptolemy_nn::QuantizedNetwork;
 use ptolemy_obs::Clock;
+use ptolemy_tensor::Tensor;
 
 use crate::{fmt3, BenchResult, BenchScale, Table, Workbench};
 
@@ -33,6 +35,17 @@ fn repetitions(scale: BenchScale) -> usize {
     }
 }
 
+/// The int8 verdict of one input: its batch of one through the engine's
+/// single int8 entry point.
+fn detect_int8(
+    engine: &DetectionEngine,
+    qnet: &QuantizedNetwork,
+    input: &Tensor,
+) -> BenchResult<Detection> {
+    let mut results = engine.detect_batch_quantized_with(qnet, std::slice::from_ref(input));
+    Ok(results.remove(0)?.0)
+}
+
 /// Runs the experiment.
 ///
 /// # Errors
@@ -46,8 +59,8 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     let adversarial = wb.adversarial_inputs(&Fgsm::new(0.25), benign.len())?;
     let engine = DetectionEngine::builder(wb.network.clone(), program, class_paths)
         .calibrate(&benign, &adversarial)
-        .quantized(&benign)
         .build()?;
+    let qnet = QuantizedNetwork::quantize(wb.network.clone(), &benign)?;
     let reps = repetitions(scale);
 
     let mut table = Table::new(
@@ -65,12 +78,12 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     for (inputs, is_adv) in [(&benign, false), (&adversarial, true)] {
         for input in inputs.iter() {
             let full = engine.detect(input)?;
-            let quant = engine.detect_quantized(input)?;
+            let quant = detect_int8(&engine, &qnet, input)?;
             verdict_agree += usize::from(full.is_adversary == quant.is_adversary);
             class_agree += usize::from(full.predicted_class == quant.predicted_class);
             // ROC scores: higher = more suspicious, so 1 - path similarity.
-            f32_scores.push(1.0 - engine.path_similarity(input)?.1);
-            int8_scores.push(1.0 - engine.path_similarity_quantized(input)?.1);
+            f32_scores.push(1.0 - full.similarity);
+            int8_scores.push(1.0 - quant.similarity);
             labels.push(is_adv);
         }
     }
@@ -83,9 +96,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
 
     // Forward-pass latency: the quantized network's i8 kernels vs the f32
     // network, over the same inputs.  Checksummed so nothing is elided.
-    let qnet = engine
-        .quantized_network()
-        .ok_or("engine built without a quantized network")?;
     let clock = Clock::monotonic();
     let mut checksum = 0.0f64;
     checksum += f64::from(wb.network.forward(&benign[0])?.sum());
@@ -114,8 +124,8 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     // AUC gates above stable enough to gate on).
     let deterministic = benign.iter().chain(&adversarial).all(|input| {
         match (
-            engine.detect_quantized(input),
-            engine.detect_quantized(input),
+            detect_int8(&engine, &qnet, input),
+            detect_int8(&engine, &qnet, input),
         ) {
             (Ok(x), Ok(y)) => {
                 x.score.to_bits() == y.score.to_bits()

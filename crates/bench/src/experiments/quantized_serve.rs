@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use ptolemy_attacks::Fgsm;
 use ptolemy_core::{variants, Detection, DetectionEngine};
+use ptolemy_nn::QuantizedNetwork;
 use ptolemy_obs::Clock;
 use ptolemy_serve::{ServeStats, Server, Ticket};
 
@@ -79,7 +80,6 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
     let screen = Arc::new(
         DetectionEngine::builder(wb.network.clone(), screen_program, screen_paths)
             .calibrate(&benign, &adversarial)
-            .quantized(&benign)
             .build()?,
     );
     let expensive = Arc::new(
@@ -87,10 +87,7 @@ pub fn run(scale: BenchScale) -> BenchResult<Vec<Table>> {
             .calibrate(&benign, &adversarial)
             .build()?,
     );
-    let qnet = screen
-        .quantized_network()
-        .ok_or("screen engine built without a quantized network")?
-        .clone();
+    let qnet = QuantizedNetwork::quantize(wb.network.clone(), &benign)?;
 
     // Mixed stream, interleaved; no cache in either server, so every request
     // is freshly screened and the mode comparison is clean.

@@ -24,9 +24,12 @@
 //!   stay **bit-for-bit identical** to the single-input entry points, which
 //!   are the same code run on a batch of one.  All of it runs on the
 //!   caller's thread;
-//! * **streaming** — [`DetectionEngine::score_stream`] /
-//!   [`DetectionEngine::detect_stream`] lazily drive an input iterator
-//!   without materialising the batch;
+//! * **one pipeline for both precisions** —
+//!   [`DetectionEngine::detect_batch_quantized_with`] screens through an
+//!   int8 [`QuantizedNetwork`] built from the engine's own network.  Only the
+//!   forward pass differs: the streamed extraction, the per-input error
+//!   fallback, the scoring and the stage timing are the f32 code, so int8
+//!   detection keeps the same streaming memory bound;
 //! * **pluggable cost backends** — a [`DetectionBackend`] prices every batch.
 //!   [`SoftwareBackend`] reports the algorithm-level op counts of a pure
 //!   software implementation ([`crate::software_cost`]); the `AccelBackend` in
@@ -68,13 +71,11 @@
 use std::sync::Arc;
 
 use ptolemy_forest::{ForestConfig, RandomForest};
-use ptolemy_nn::{ForwardTrace, Network, QuantizedNetwork};
+use ptolemy_nn::{Network, QuantizedNetwork};
 use ptolemy_obs::{Counter, HistogramHandle, Registry};
 use ptolemy_tensor::Tensor;
 
-use crate::extraction::{
-    extract_path, extract_path_streaming, path_layout, stream_batch_with, FUSED_CHUNK,
-};
+use crate::extraction::{f32_pass, path_layout, stream_batch_with, ForwardPass, FUSED_CHUNK};
 use crate::{
     software_cost, ActivationPath, ClassPathSet, CoreError, DetectionProgram, Result,
     SoftwareCostReport,
@@ -121,24 +122,31 @@ pub fn path_similarity(
             program.fingerprint()
         )));
     }
-    let (predicted, similarity, _) = trace_path_one(network, program, class_paths, input)?;
+    let (predicted, similarity, _) = only(trace_path_batch(
+        network,
+        &f32_pass(network),
+        program,
+        class_paths,
+        std::slice::from_ref(input),
+    ))?;
     Ok((predicted, similarity))
 }
 
-/// The one scoring core behind every f32 entry point: streamed inference +
-/// extraction + similarity for each input, with no fingerprint check.
-/// Returns `(predicted class, similarity, activation path)` per input.
+/// The one scoring core behind every entry point, f32 and int8: streamed
+/// inference + extraction + similarity for each input, with no fingerprint
+/// check.  Returns `(predicted class, similarity, activation path)` per
+/// input.
 ///
-/// A batch of two or more well-shaped inputs runs as one fused NCHW forward
-/// pass ([`crate::extract_paths_streaming_batch`] — forward programs mask
-/// each stacked boundary as the layer finishes and drop it, backward programs
-/// retain only the boundaries the reverse walk reads), with path-similarity
-/// scoring completing each sample.  Otherwise — a single input, a
-/// mis-shaped input, or a failed fused pass — every input streams as its own
-/// batch of one ([`extract_path_streaming`]), so a bad input fails alone
-/// with its exact error while the rest are still served.
+/// The batch runs as one fused pass of `forward` ([`stream_batch_with`] —
+/// forward programs mask each stacked boundary as the layer finishes and
+/// drop it, backward programs retain only the boundaries the reverse walk
+/// reads), with path-similarity scoring completing each sample.  If the
+/// fused pass itself fails (a mis-shaped input), every input streams as its
+/// own batch of one, so a bad input fails alone with its exact error while
+/// the rest are still served.
 fn trace_path_batch(
     network: &Network,
+    forward: &ForwardPass<'_>,
     program: &DetectionProgram,
     class_paths: &ClassPathSet,
     inputs: &[Tensor],
@@ -147,39 +155,14 @@ fn trace_path_batch(
         let similarity = path.similarity(class_paths.class_path(predicted)?)?;
         Ok((predicted, similarity, path))
     };
-    let fusable = inputs.len() > 1
-        && inputs
+    let stream = |batch: &[Tensor]| stream_batch_with(network, forward, program, batch, &finish);
+    match stream(inputs) {
+        Ok((samples, _logits, _footprint)) => samples,
+        Err(_) => inputs
             .iter()
-            .all(|input| input.dims() == network.input_shape());
-    if fusable {
-        if let Ok((samples, _logits, _footprint)) =
-            stream_batch_with(network, program, inputs, &finish)
-        {
-            return samples.into_iter().map(Ok).collect();
-        }
+            .map(|input| only(stream(std::slice::from_ref(input))?.0))
+            .collect(),
     }
-    inputs
-        .iter()
-        .map(|input| {
-            let streamed = extract_path_streaming(network, program, input)?;
-            finish(streamed.predicted_class, streamed.path)
-        })
-        .collect()
-}
-
-/// [`trace_path_batch`] on a batch of one.
-fn trace_path_one(
-    network: &Network,
-    program: &DetectionProgram,
-    class_paths: &ClassPathSet,
-    input: &Tensor,
-) -> Result<(usize, f32, ActivationPath)> {
-    only(trace_path_batch(
-        network,
-        program,
-        class_paths,
-        std::slice::from_ref(input),
-    ))
 }
 
 /// The single result of a batch of one.
@@ -312,7 +295,7 @@ impl EngineObs {
 }
 
 /// A detection session: network + program + class paths + classifier + backend,
-/// bound and validated once, then driven per input, per batch or per stream.
+/// bound and validated once, then driven per input or per batch, in f32 or int8.
 ///
 /// Built via [`DetectionEngine::builder`].  See the [module docs](self) for the
 /// design rationale and an end-to-end example.
@@ -324,7 +307,6 @@ pub struct DetectionEngine {
     forest: Option<RandomForest>,
     threshold: f32,
     backend: Box<dyn DetectionBackend>,
-    quantized: Option<QuantizedNetwork>,
     obs: Option<EngineObs>,
 }
 
@@ -345,7 +327,6 @@ impl DetectionEngine {
             forest: None,
             forest_config: ForestConfig::default(),
             calibration: None,
-            quantization: None,
             threshold: DEFAULT_THRESHOLD,
             backend: Box::new(SoftwareBackend),
             registry: None,
@@ -360,34 +341,26 @@ impl DetectionEngine {
     ///
     /// Propagates extraction errors.
     pub fn path_similarity(&self, input: &Tensor) -> Result<(usize, f32)> {
-        let (predicted, similarity, _) =
-            trace_path_one(&self.network, &self.program, &self.class_paths, input)?;
+        let (predicted, similarity, _) = only(trace_path_batch(
+            &self.network,
+            &f32_pass(&self.network),
+            &self.program,
+            &self.class_paths,
+            std::slice::from_ref(input),
+        ))?;
         Ok((predicted, similarity))
     }
 
-    /// Detects whether one input is adversarial.
+    /// Detects whether one input is adversarial: [`DetectionEngine::detect_batch`]
+    /// on a batch of one, so the verdict is bit-for-bit the input's entry in
+    /// any batch.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if the engine was built without a
     /// classifier, and propagates extraction/classifier errors.
     pub fn detect(&self, input: &Tensor) -> Result<Detection> {
-        Ok(self.detect_with_path(input)?.0)
-    }
-
-    /// Like [`DetectionEngine::detect`], additionally returning the extracted
-    /// activation path — the hook serving layers use to key result caches on
-    /// [`ActivationPath::prefix_fingerprint`] without re-running extraction.
-    ///
-    /// Both are [`DetectionEngine::detect_batch_with_paths`] on a batch of
-    /// one, so the verdict is bit-for-bit identical to `detect` and to the
-    /// input's entry in any batch.
-    ///
-    /// # Errors
-    ///
-    /// See [`DetectionEngine::detect`].
-    pub fn detect_with_path(&self, input: &Tensor) -> Result<(Detection, ActivationPath)> {
-        only(self.detect_batch_with_paths(std::slice::from_ref(input)))
+        only(self.detect_batch_with_paths(std::slice::from_ref(input))).map(|(d, _)| d)
     }
 
     /// Detects a whole batch through **one streamed fused forward pass**: the
@@ -421,22 +394,71 @@ impl DetectionEngine {
         &self,
         inputs: &[Tensor],
     ) -> Vec<Result<(Detection, ActivationPath)>> {
-        self.judge_timed(|| {
-            trace_path_batch(&self.network, &self.program, &self.class_paths, inputs)
-        })
+        self.judge_timed(&f32_pass(&self.network), inputs)
     }
 
-    /// The one stage-timing site of every detection entry point: runs `trace`
-    /// (inference + extraction + similarity), judges each result, and —
-    /// while the registry is enabled — records `core.trace_ns`,
-    /// `core.score_ns` and `core.detections`.
+    /// Detects a whole batch through **one fused int8 forward pass** of
+    /// `qnet`, streaming extraction exactly as
+    /// [`DetectionEngine::detect_batch_with_paths`] does in f32: only the
+    /// forward pass differs, so forward programs retain no activation and
+    /// backward programs only their planned boundaries.
+    ///
+    /// Unlike the f32 entry points this is *not* bit-parity pinned against
+    /// f32 detection: int8 rounding perturbs activations, so the predicted
+    /// class and extracted path may differ — by design.  The behavioural
+    /// contract (activation-path agreement rate, detection-AUC delta) is
+    /// measured by the `quantized_detect` benchmark.  The quantized pass is
+    /// exactly deterministic (i32 accumulation), and sample `i` of a batch is
+    /// bit-for-bit its batch of one.
+    ///
+    /// `qnet` must have been quantized from *this engine's* network instance
+    /// (`QuantizedNetwork::quantize(network_arc, calibration)` over the same
+    /// `Arc<Network>`): the verdict compares the quantized path against this
+    /// engine's canary paths, which only makes sense for the same weights.
+    /// Otherwise every input fails with [`CoreError::InvalidInput`].
+    pub fn detect_batch_quantized_with(
+        &self,
+        qnet: &QuantizedNetwork,
+        inputs: &[Tensor],
+    ) -> Vec<Result<(Detection, ActivationPath)>> {
+        if !std::ptr::eq(qnet.network().as_ref(), self.network.as_ref()) {
+            return inputs
+                .iter()
+                .map(|_| {
+                    Err(CoreError::InvalidInput(
+                        "quantized network was calibrated from a different network \
+                         instance than this engine serves"
+                            .into(),
+                    ))
+                })
+                .collect();
+        }
+        self.judge_timed(
+            &|batch: &[Tensor], sink: &mut dyn ptolemy_nn::TraceSink| {
+                qnet.forward_with_sink_batch(batch, sink)
+            },
+            inputs,
+        )
+    }
+
+    /// The one stage-timing site of every detection entry point: runs
+    /// [`trace_path_batch`] through `forward` (inference + extraction +
+    /// similarity), judges each result, and — while the registry is enabled
+    /// — records `core.trace_ns`, `core.score_ns` and `core.detections`.
     fn judge_timed(
         &self,
-        trace: impl FnOnce() -> Vec<Result<(usize, f32, ActivationPath)>>,
+        forward: &ForwardPass<'_>,
+        inputs: &[Tensor],
     ) -> Vec<Result<(Detection, ActivationPath)>> {
         let obs = self.stage_obs();
         let start = obs.map(|o| o.registry.clock().now_ns());
-        let traced = trace();
+        let traced = trace_path_batch(
+            &self.network,
+            forward,
+            &self.program,
+            &self.class_paths,
+            inputs,
+        );
         let mid = if let (Some(o), Some(start)) = (obs, start) {
             let now = o.registry.clock().now_ns();
             o.trace_ns.record(now.saturating_sub(start));
@@ -500,28 +522,6 @@ impl DetectionEngine {
         Ok(self.detect(input)?.score)
     }
 
-    /// Lazily scores a stream of inputs, yielding each input's adversarial
-    /// probability (the streaming counterpart of [`DetectionEngine::score`]):
-    /// items are detected as the iterator is advanced, so unbounded workloads
-    /// run in constant memory.
-    pub fn score_stream<'a, I>(&'a self, inputs: I) -> impl Iterator<Item = Result<f32>> + 'a
-    where
-        I: IntoIterator<Item = Tensor>,
-        I::IntoIter: 'a,
-    {
-        inputs.into_iter().map(move |input| self.score(&input))
-    }
-
-    /// Lazily detects a stream of inputs, yielding full verdicts (the
-    /// streaming counterpart of [`DetectionEngine::detect`]).
-    pub fn detect_stream<'a, I>(&'a self, inputs: I) -> impl Iterator<Item = Result<Detection>> + 'a
-    where
-        I: IntoIterator<Item = Tensor>,
-        I::IntoIter: 'a,
-    {
-        inputs.into_iter().map(move |input| self.detect(&input))
-    }
-
     /// Prices a hypothetical batch on the backend without running detection
     /// (used by capacity planning and the figure harnesses).
     ///
@@ -533,8 +533,8 @@ impl DetectionEngine {
             .estimate_batch(&self.network, &self.program, batch_size, mean_density)
     }
 
-    /// The single scoring step shared by `detect`, `detect_with_path` and the
-    /// fused batch methods — the source of their bit-for-bit parity.
+    /// The single scoring step shared by every detection entry point — the
+    /// source of their bit-for-bit parity.
     fn judge(&self, predicted_class: usize, similarity: f32) -> Result<Detection> {
         let forest = self.forest.as_ref().ok_or_else(|| {
             CoreError::InvalidInput(
@@ -599,174 +599,6 @@ impl DetectionEngine {
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
     }
-
-    /// The int8 quantized network, when the engine was built with
-    /// [`DetectionEngineBuilder::quantized`].
-    pub fn quantized_network(&self) -> Option<&QuantizedNetwork> {
-        self.quantized.as_ref()
-    }
-
-    /// `(predicted class, path similarity)` of one input through the **int8
-    /// quantized** forward pass.
-    ///
-    /// Unlike every other engine entry point this is *not* bit-parity pinned
-    /// against [`DetectionEngine::path_similarity`]: int8 rounding perturbs
-    /// activations, so the predicted class and extracted path may differ from
-    /// f32 — by design.  The behavioural contract (activation-path agreement
-    /// rate, detection-AUC delta) is measured by the `quantized_detect`
-    /// benchmark.  The quantized pass itself is exactly deterministic (i32
-    /// accumulation), so repeated calls always agree with each other.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the engine was built without
-    /// [`DetectionEngineBuilder::quantized`]; propagates extraction errors.
-    pub fn path_similarity_quantized(&self, input: &Tensor) -> Result<(usize, f32)> {
-        let qnet = self.quantized.as_ref().ok_or_else(|| {
-            CoreError::InvalidInput(
-                "engine was built without a quantized network; add .quantized(..)".into(),
-            )
-        })?;
-        // The quantized pass emits f32 activation boundaries (requantized on
-        // output), so the standard materialized-trace extraction applies
-        // unchanged; only the activations differ from f32 inference.
-        let trace = qnet.forward_trace(input)?;
-        let predicted = trace.predicted_class()?;
-        let path = extract_path(&self.network, &trace, &self.program)?;
-        let similarity = path.similarity(self.class_paths.class_path(predicted)?)?;
-        Ok((predicted, similarity))
-    }
-
-    /// Detects whether one input is adversarial using the int8 quantized
-    /// inference path; scoring (forest + threshold) is shared with
-    /// [`DetectionEngine::detect`], only the forward pass and extraction run
-    /// over quantized activations.  See
-    /// [`DetectionEngine::path_similarity_quantized`] for the accuracy
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the engine was built without a
-    /// quantized network or without a classifier; propagates extraction and
-    /// classifier errors.
-    pub fn detect_quantized(&self, input: &Tensor) -> Result<Detection> {
-        let (predicted, similarity) = self.path_similarity_quantized(input)?;
-        self.judge(predicted, similarity)
-    }
-
-    /// Scores one already-materialised quantized trace: predicted class, path
-    /// extraction against this engine's program, similarity against the
-    /// predicted class's canary path.  The single scoring step shared by every
-    /// quantized entry point — the source of their mutual bit parity.
-    fn finish_quantized_trace(&self, trace: &ForwardTrace) -> Result<(usize, f32, ActivationPath)> {
-        let predicted = trace.predicted_class()?;
-        let path = extract_path(&self.network, trace, &self.program)?;
-        let similarity = path.similarity(self.class_paths.class_path(predicted)?)?;
-        Ok((predicted, similarity, path))
-    }
-
-    /// Quantized counterpart of [`trace_path_batch`]: one fused int8 batched
-    /// forward pass materialises the stacked trace, then per-sample slices are
-    /// extracted and scored in turn.  Falls back to per-input
-    /// quantized passes when any input is mis-shaped, preserving that input's
-    /// exact error while still serving the rest.
-    fn trace_path_quantized_batch(
-        &self,
-        qnet: &QuantizedNetwork,
-        inputs: &[Tensor],
-    ) -> Vec<Result<(usize, f32, ActivationPath)>> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let fused = if inputs
-            .iter()
-            .all(|input| input.dims() == self.network.input_shape())
-        {
-            qnet.forward_trace_batch(inputs).ok()
-        } else {
-            None
-        };
-        let Some(batch) = fused else {
-            return inputs
-                .iter()
-                .map(|input| self.finish_quantized_trace(&qnet.forward_trace(input)?))
-                .collect();
-        };
-        (0..inputs.len())
-            .map(|i| self.finish_quantized_trace(&batch.trace(i)?))
-            .collect()
-    }
-
-    /// Detects a whole batch through **one fused int8 forward pass** — the
-    /// quantized twin of [`DetectionEngine::detect_batch_with_paths`], keyed
-    /// to an explicitly supplied [`QuantizedNetwork`] (serving layers pass the
-    /// one their builder validated; [`detect_batch_quantized_with_paths`]
-    /// passes the engine's own).
-    ///
-    /// `qnet` must have been calibrated from *this engine's* network instance
-    /// — the verdict compares the quantized trace against this engine's canary
-    /// paths, which only makes sense for the same weights.
-    ///
-    /// Per-sample results are bit-for-bit [`DetectionEngine::detect_quantized`]
-    /// on the same input: the fused batch slices back losslessly (i32
-    /// accumulation is exact) and the scoring step is shared.
-    ///
-    /// [`detect_batch_quantized_with_paths`]: DetectionEngine::detect_batch_quantized_with_paths
-    pub fn detect_batch_quantized_with(
-        &self,
-        qnet: &QuantizedNetwork,
-        inputs: &[Tensor],
-    ) -> Vec<Result<(Detection, ActivationPath)>> {
-        if !std::ptr::eq(qnet.network().as_ref(), self.network.as_ref()) {
-            return inputs
-                .iter()
-                .map(|_| {
-                    Err(CoreError::InvalidInput(
-                        "quantized network was calibrated from a different network \
-                         instance than this engine serves"
-                            .into(),
-                    ))
-                })
-                .collect();
-        }
-        self.judge_timed(|| self.trace_path_quantized_batch(qnet, inputs))
-    }
-
-    /// Like [`DetectionEngine::detect_batch_quantized_with`] but using the
-    /// engine's own quantized network
-    /// ([`DetectionEngineBuilder::quantized`]); every input fails with
-    /// [`CoreError::InvalidInput`] if the engine has none.
-    pub fn detect_batch_quantized_with_paths(
-        &self,
-        inputs: &[Tensor],
-    ) -> Vec<Result<(Detection, ActivationPath)>> {
-        let Some(qnet) = self.quantized.as_ref() else {
-            return inputs
-                .iter()
-                .map(|_| {
-                    Err(CoreError::InvalidInput(
-                        "engine was built without a quantized network; add .quantized(..)".into(),
-                    ))
-                })
-                .collect();
-        };
-        self.detect_batch_quantized_with(qnet, inputs)
-    }
-
-    /// Batched [`DetectionEngine::detect_quantized`]: verdicts only, first
-    /// error wins — the quantized twin of [`DetectionEngine::detect_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-input error, if any, or
-    /// [`CoreError::InvalidInput`] if the engine was built without a
-    /// quantized network.
-    pub fn detect_batch_quantized(&self, inputs: &[Tensor]) -> Result<Vec<Detection>> {
-        self.detect_batch_quantized_with_paths(inputs)
-            .into_iter()
-            .map(|r| r.map(|(d, _)| d))
-            .collect()
-    }
 }
 
 /// Builder for [`DetectionEngine`]; all validation happens in
@@ -779,7 +611,6 @@ pub struct DetectionEngineBuilder {
     forest: Option<RandomForest>,
     forest_config: ForestConfig,
     calibration: Option<(Vec<Tensor>, Vec<Tensor>)>,
-    quantization: Option<Vec<Tensor>>,
     threshold: f32,
     backend: Box<dyn DetectionBackend>,
     registry: Option<Arc<Registry>>,
@@ -829,17 +660,6 @@ impl DetectionEngineBuilder {
     /// the paper's lightweight classification module, Sec. III-B).
     pub fn calibrate(mut self, benign: &[Tensor], adversarial: &[Tensor]) -> Self {
         self.calibration = Some((benign.to_vec(), adversarial.to_vec()));
-        self
-    }
-
-    /// Opts the engine into the int8 quantized inference path: `build` runs
-    /// the f32 network over `calibration` to fix per-layer activation scales,
-    /// quantizes the weights, and attaches a [`QuantizedNetwork`] served via
-    /// [`DetectionEngine::detect_quantized`] /
-    /// [`DetectionEngine::path_similarity_quantized`].  The f32 entry points
-    /// are unaffected.
-    pub fn quantized(mut self, calibration: &[Tensor]) -> Self {
-        self.quantization = Some(calibration.to_vec());
         self
     }
 
@@ -918,9 +738,7 @@ impl DetectionEngineBuilder {
                         "calibration requires both benign and adversarial inputs".into(),
                     ));
                 }
-                let network = &self.network;
-                let program = &self.program;
-                let class_paths = &self.class_paths;
+                let forward = f32_pass(&self.network);
                 let mut features = Vec::with_capacity(benign.len() + adversarial.len());
                 let mut labels = Vec::with_capacity(benign.len() + adversarial.len());
                 for (inputs, is_adversarial) in [(&benign, false), (&adversarial, true)] {
@@ -931,7 +749,13 @@ impl DetectionEngineBuilder {
                     // arbitrarily large calibration set in one shot would make
                     // peak memory O(set size × total activations).
                     for chunk in inputs.chunks(FUSED_CHUNK) {
-                        let similarities = trace_path_batch(network, program, class_paths, chunk);
+                        let similarities = trace_path_batch(
+                            &self.network,
+                            &forward,
+                            &self.program,
+                            &self.class_paths,
+                            chunk,
+                        );
                         for similarity in similarities {
                             features.push(vec![similarity.map(|(_, s, _)| s)?]);
                             labels.push(is_adversarial);
@@ -943,21 +767,6 @@ impl DetectionEngineBuilder {
             (None, None) => None,
         };
 
-        let quantized = match self.quantization {
-            Some(calibration) => {
-                if calibration.is_empty() {
-                    return Err(CoreError::InvalidInput(
-                        "quantization requires at least one calibration input".into(),
-                    ));
-                }
-                Some(QuantizedNetwork::quantize(
-                    self.network.clone(),
-                    &calibration,
-                )?)
-            }
-            None => None,
-        };
-
         Ok(DetectionEngine {
             network: self.network,
             program: self.program,
@@ -965,7 +774,6 @@ impl DetectionEngineBuilder {
             forest,
             threshold: self.threshold,
             backend: self.backend,
-            quantized,
             obs: self.registry.map(EngineObs::attach),
         })
     }
@@ -1040,36 +848,21 @@ mod tests {
         assert_eq!(batch.len(), all.len());
         for (input, batched) in all.iter().zip(&batch) {
             assert_eq!(*batched, engine.detect(input).unwrap());
-            // detect_with_path shares the detect code path bit-for-bit and
-            // returns a path whose prefix fingerprint is stable.
-            let (traced, path) = engine.detect_with_path(input).unwrap();
+            // A batch of one with paths shares the detect code path
+            // bit-for-bit and returns a path whose prefix fingerprint is
+            // stable.
+            let one = std::slice::from_ref(input);
+            let (traced, path) = only(engine.detect_batch_with_paths(one)).unwrap();
             assert_eq!(traced.score.to_bits(), batched.score.to_bits());
             assert_eq!(traced.similarity.to_bits(), batched.similarity.to_bits());
             assert!(path.count_ones() > 0);
+            let (_, again) = only(engine.detect_batch_with_paths(one)).unwrap();
+            assert_eq!(path.prefix_fingerprint(2), again.prefix_fingerprint(2));
             assert_eq!(
-                path.prefix_fingerprint(2),
-                engine
-                    .detect_with_path(input)
-                    .unwrap()
-                    .1
-                    .prefix_fingerprint(2)
+                engine.score(input).unwrap().to_bits(),
+                batched.score.to_bits()
             );
         }
-
-        // Streaming agrees with the batch path.
-        let streamed: Vec<Detection> = engine
-            .detect_stream(all.clone())
-            .collect::<Result<_>>()
-            .unwrap();
-        assert_eq!(streamed, batch);
-        let scores: Vec<f32> = engine
-            .score_stream(all.clone())
-            .collect::<Result<_>>()
-            .unwrap();
-        assert!(scores
-            .iter()
-            .zip(&batch)
-            .all(|(score, verdict)| score.to_bits() == verdict.score.to_bits()));
 
         // The software backend prices the batch with algorithm-level counts.
         let (again, estimate) = engine.detect_batch_with_estimate(&all).unwrap();
@@ -1082,6 +875,13 @@ mod tests {
         assert_eq!(engine.backend_name(), "software");
     }
 
+    /// The int8 verdict of one input: its batch of one.
+    fn detect_int8(engine: &DetectionEngine, qnet: &QuantizedNetwork, input: &Tensor) -> Detection {
+        only(engine.detect_batch_quantized_with(qnet, std::slice::from_ref(input)))
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn quantized_mode_detects_deterministically_and_mostly_agrees_with_f32() {
         let (net, samples, benign, adversarial) = setup();
@@ -1089,29 +889,26 @@ mod tests {
         let class_paths = Profiler::new(program.clone())
             .profile(&net, &samples)
             .unwrap();
-        let engine = DetectionEngine::builder(net, program, class_paths)
+        let net = Arc::new(net);
+        let engine = DetectionEngine::builder(Arc::clone(&net), program, class_paths)
             .calibrate(&benign, &adversarial)
-            .quantized(&benign)
             .build()
             .unwrap();
-
-        let qnet = engine.quantized_network().expect("quantized network");
+        assert!(QuantizedNetwork::quantize(Arc::clone(&net), &[]).is_err());
+        let qnet = QuantizedNetwork::quantize(net, &benign).unwrap();
         assert!(qnet.num_quantized_layers() >= 2);
 
         let mut verdict_agree = 0;
         for input in benign.iter().chain(&adversarial) {
             let f = engine.detect(input).unwrap();
-            let q = engine.detect_quantized(input).unwrap();
+            let q = detect_int8(&engine, &qnet, input);
             // The quantized path is exactly deterministic.
-            let q2 = engine.detect_quantized(input).unwrap();
+            let q2 = detect_int8(&engine, &qnet, input);
             assert_eq!(q.score.to_bits(), q2.score.to_bits());
             assert_eq!(q.similarity.to_bits(), q2.similarity.to_bits());
             if q.is_adversary == f.is_adversary {
                 verdict_agree += 1;
             }
-            let (class, similarity) = engine.path_similarity_quantized(input).unwrap();
-            assert_eq!(class, q.predicted_class);
-            assert_eq!(similarity.to_bits(), q.similarity.to_bits());
         }
         // int8 rounding may flip a handful of verdicts, never most of them.
         let total = benign.len() + adversarial.len();
@@ -1128,75 +925,40 @@ mod tests {
         let class_paths = Profiler::new(program.clone())
             .profile(&net, &samples)
             .unwrap();
-        let engine = DetectionEngine::builder(net, program, class_paths)
+        let net = Arc::new(net);
+        let engine = DetectionEngine::builder(Arc::clone(&net), program, class_paths)
             .calibrate(&benign, &adversarial)
-            .quantized(&benign)
             .build()
             .unwrap();
+        let qnet = QuantizedNetwork::quantize(net, &benign).unwrap();
 
         let all: Vec<Tensor> = benign.iter().chain(&adversarial).cloned().collect();
-        let batch = engine.detect_batch_quantized(&all).unwrap();
+        let batch = engine.detect_batch_quantized_with(&qnet, &all);
         assert_eq!(batch.len(), all.len());
-        let with_paths = engine.detect_batch_quantized_with_paths(&all);
-        for ((input, batched), traced) in all.iter().zip(&batch).zip(with_paths) {
-            let single = engine.detect_quantized(input).unwrap();
+        for (input, batched) in all.iter().zip(batch) {
+            let (batched, path) = batched.unwrap();
+            let single = detect_int8(&engine, &qnet, input);
             assert_eq!(single.score.to_bits(), batched.score.to_bits());
             assert_eq!(single.similarity.to_bits(), batched.similarity.to_bits());
             assert_eq!(single.predicted_class, batched.predicted_class);
             assert_eq!(single.is_adversary, batched.is_adversary);
-            let (d, path) = traced.unwrap();
-            assert_eq!(d, *batched);
             assert!(path.count_ones() > 0);
         }
 
         // A mis-shaped input fails alone; the rest of the batch still serves.
         let mut mixed = all[..3].to_vec();
         mixed.push(Tensor::zeros(&[3]));
-        let results = engine.detect_batch_quantized_with_paths(&mixed);
+        let results = engine.detect_batch_quantized_with(&qnet, &mixed);
         assert!(results[..3].iter().all(Result::is_ok));
         assert!(results[3].is_err());
 
-        // An external qnet calibrated from a different network instance is
-        // rejected per input, never silently scored.
+        // A qnet calibrated from a different network instance is rejected
+        // per input, never silently scored.
         let (other_net, _, other_benign, _) = setup();
         let foreign = QuantizedNetwork::quantize(Arc::new(other_net), &other_benign[..4]).unwrap();
         let rejected = engine.detect_batch_quantized_with(&foreign, &all[..2]);
         assert_eq!(rejected.len(), 2);
         assert!(rejected.iter().all(Result::is_err));
-
-        // Without a quantized network every input fails, matching the
-        // single-input contract.
-        let (net2, samples2, benign2, adversarial2) = setup();
-        let program2 = variants::bw_cu(&net2, 0.5).unwrap();
-        let class_paths2 = Profiler::new(program2.clone())
-            .profile(&net2, &samples2)
-            .unwrap();
-        let plain = DetectionEngine::builder(net2, program2, class_paths2)
-            .calibrate(&benign2, &adversarial2)
-            .build()
-            .unwrap();
-        assert!(plain.detect_batch_quantized(&all[..2]).is_err());
-    }
-
-    #[test]
-    fn quantized_mode_requires_calibration_inputs_and_opt_in() {
-        let (net, samples, benign, adversarial) = setup();
-        let program = variants::bw_cu(&net, 0.5).unwrap();
-        let class_paths = Profiler::new(program.clone())
-            .profile(&net, &samples)
-            .unwrap();
-        let net = Arc::new(net);
-        let err = DetectionEngine::builder(Arc::clone(&net), program.clone(), class_paths.clone())
-            .quantized(&[])
-            .build();
-        assert!(err.is_err());
-        let engine = DetectionEngine::builder(net, program, class_paths)
-            .calibrate(&benign, &adversarial)
-            .build()
-            .unwrap();
-        assert!(engine.quantized_network().is_none());
-        assert!(engine.detect_quantized(&benign[0]).is_err());
-        assert!(engine.path_similarity_quantized(&benign[0]).is_err());
     }
 
     #[test]

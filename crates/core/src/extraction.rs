@@ -29,10 +29,12 @@
 //!   weight layer as it streams past.
 //!
 //! There is one streaming pass, the fused-batch one: a single input is
-//! streamed as a batch of one.  Extraction runs entirely on the caller's
-//! thread.  The paper overlaps extraction with the next layer's inference in
-//! hardware (Sec. III-C); `ptolemy-compiler` and `ptolemy-accel` model that
-//! overlap, and the CPU path does not imitate it with threads.
+//! streamed as a batch of one, and the forward pass driving it is a
+//! parameter, so the int8 `QuantizedNetwork` streams through exactly the
+//! f32 extraction.  Extraction runs entirely on the caller's thread.  The
+//! paper overlaps extraction with the next layer's inference in hardware
+//! (Sec. III-C); `ptolemy-compiler` and `ptolemy-accel` model that overlap,
+//! and the CPU path does not imitate it with threads.
 //!
 //! Streamed and materialized extraction are **bit-for-bit identical**: the
 //! forward compute is the same driver either way, and both feed the same
@@ -196,6 +198,7 @@ pub fn extract_path_streaming(
 ) -> Result<StreamedExtraction> {
     let (samples, logits, footprint) = stream_batch_with(
         network,
+        &f32_pass(network),
         program,
         std::slice::from_ref(input),
         &|predicted, path| Ok((predicted, path)),
@@ -203,7 +206,7 @@ pub fn extract_path_streaming(
     let (predicted_class, path) = samples
         .into_iter()
         .next()
-        .ok_or_else(|| CoreError::InvalidInput("a batch of one produced no sample".into()))?;
+        .ok_or_else(|| CoreError::InvalidInput("a batch of one produced no sample".into()))??;
     Ok(StreamedExtraction {
         predicted_class,
         path,
@@ -232,31 +235,63 @@ pub fn extract_paths_streaming_batch(
     program: &DetectionProgram,
     inputs: &[Tensor],
 ) -> Result<StreamedBatchExtraction> {
-    let (samples, _logits, footprint) =
-        stream_batch_with(network, program, inputs, &|predicted, path| {
-            Ok((predicted, path))
-        })?;
-    Ok(StreamedBatchExtraction { samples, footprint })
+    let (samples, _logits, footprint) = stream_batch_with(
+        network,
+        &f32_pass(network),
+        program,
+        inputs,
+        &|predicted, path| Ok((predicted, path)),
+    )?;
+    Ok(StreamedBatchExtraction {
+        samples: samples.into_iter().collect::<Result<_>>()?,
+        footprint,
+    })
 }
 
-/// The one streaming pass behind every extraction entry point:
-/// `finish(predicted_class, path)` completes each sample in input order, so
-/// engine-level completion work (path-similarity scoring) runs right after
-/// each sample's walk.  Returns the per-sample results, the stacked logits
-/// and the pass's footprint.
+/// A fused forward pass over a batch that hands each stacked activation
+/// boundary to a sink as it is produced and returns the stacked logits:
+/// [`Network::forward_with_sink_batch`] for f32,
+/// [`ptolemy_nn::QuantizedNetwork::forward_with_sink_batch`] for int8.  The
+/// extraction below is the same for both; only this pass differs.
+pub(crate) type ForwardPass<'a> =
+    dyn Fn(&[Tensor], &mut dyn TraceSink) -> ptolemy_nn::Result<Tensor> + 'a;
+
+/// The f32 [`ForwardPass`] of `network`.
+pub(crate) fn f32_pass(
+    network: &Network,
+) -> impl Fn(&[Tensor], &mut dyn TraceSink) -> ptolemy_nn::Result<Tensor> + '_ {
+    move |inputs, sink| network.forward_with_sink_batch(inputs, sink)
+}
+
+/// The one streaming pass behind every extraction entry point, f32 and
+/// int8: `forward` runs the fused pass while a sink extracts each sample's
+/// path, and `finish(predicted_class, path)` completes each sample in input
+/// order, so engine-level completion work (path-similarity scoring) runs
+/// right after each sample's walk.  `network` supplies the program layout
+/// and the contribution kernels of the backward walk.
+///
+/// Returns the per-sample results, the stacked logits and the pass's
+/// footprint.  The outer error is the pass's own (a mis-shaped or empty
+/// batch, a program that does not match the network); a sample whose
+/// logits admit no prediction, or whose `finish` fails, fails alone.
 pub(crate) fn stream_batch_with<T, F>(
     network: &Network,
+    forward: &ForwardPass<'_>,
     program: &DetectionProgram,
     inputs: &[Tensor],
     finish: &F,
-) -> Result<(Vec<T>, Tensor, ActivationFootprint)>
+) -> Result<(Vec<Result<T>>, Tensor, ActivationFootprint)>
 where
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let layout = path_layout(network, program)?;
     match program.direction() {
-        Direction::Forward => stream_forward_batch(network, program, inputs, &layout, finish),
-        Direction::Backward => stream_backward_batch(network, program, inputs, &layout, finish),
+        Direction::Forward => {
+            stream_forward_batch(network, forward, program, inputs, &layout, finish)
+        }
+        Direction::Backward => {
+            stream_backward_batch(network, forward, program, inputs, &layout, finish)
+        }
     }
 }
 
@@ -621,11 +656,12 @@ impl TraceSink for RetainSink<'_> {
 
 fn stream_forward_batch<T, F>(
     network: &Network,
+    forward: &ForwardPass<'_>,
     program: &DetectionProgram,
     inputs: &[Tensor],
     layout: &[(usize, usize)],
     finish: &F,
-) -> Result<(Vec<T>, Tensor, ActivationFootprint)>
+) -> Result<(Vec<Result<T>>, Tensor, ActivationFootprint)>
 where
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
@@ -635,7 +671,7 @@ where
         specs: &specs,
         paths: vec![ActivationPath::empty(layout); batch],
     };
-    let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
+    let logits = forward(inputs, &mut sink)?;
     let samples = sink
         .paths
         .into_iter()
@@ -645,7 +681,7 @@ where
             let predicted = predicted_class(&sample_logits).map_err(CoreError::from)?;
             finish(predicted, path)
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect();
     let footprint = ActivationFootprint {
         peak_streamed_bytes: 0,
         materialized_bytes: materialized_trace_bytes(network, batch),
@@ -655,17 +691,18 @@ where
 
 fn stream_backward_batch<T, F>(
     network: &Network,
+    forward: &ForwardPass<'_>,
     program: &DetectionProgram,
     inputs: &[Tensor],
     layout: &[(usize, usize)],
     finish: &F,
-) -> Result<(Vec<T>, Tensor, ActivationFootprint)>
+) -> Result<(Vec<Result<T>>, Tensor, ActivationFootprint)>
 where
     F: Fn(usize, ActivationPath) -> Result<T>,
 {
     let retain = backward_retention(network, program)?;
     let mut sink = RetainSink::new(&retain);
-    let logits = network.forward_with_sink_batch(inputs, &mut sink)?;
+    let logits = forward(inputs, &mut sink)?;
     let boundaries = sink.boundaries;
     let samples = (0..inputs.len())
         .map(|b| -> Result<T> {
@@ -702,7 +739,7 @@ where
             extract_backward(network, &source, predicted, program, &mut path)?;
             finish(predicted, path)
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect();
     let footprint = ActivationFootprint {
         peak_streamed_bytes: sink.retained_bytes,
         materialized_bytes: materialized_trace_bytes(network, inputs.len()),
@@ -994,6 +1031,33 @@ mod tests {
             .unwrap();
         let streamed = extract_paths_streaming_batch(&net, &bw, &inputs).unwrap();
         assert!(streamed.footprint.peak_streamed_bytes < streamed.footprint.materialized_bytes);
+
+        // The int8 pass streams through the same extraction and keeps the
+        // same bound against its own materialized trace, with paths equal to
+        // extraction from that trace.
+        let net = std::sync::Arc::new(net);
+        let qnet = ptolemy_nn::QuantizedNetwork::quantize(net.clone(), &inputs).unwrap();
+        let int8_pass =
+            |xs: &[Tensor], sink: &mut dyn TraceSink| qnet.forward_with_sink_batch(xs, sink);
+        let qtrace = qnet.forward_trace_batch(&inputs).unwrap();
+        for (program, retains) in [(&program, false), (&bw, true)] {
+            let (samples, _, footprint) =
+                stream_batch_with(&net, &int8_pass, program, &inputs, &|c, p| Ok((c, p))).unwrap();
+            assert_eq!(footprint.materialized_bytes, qtrace.activation_bytes());
+            if retains {
+                assert!(footprint.peak_streamed_bytes > 0);
+                assert!(footprint.peak_streamed_bytes < footprint.materialized_bytes);
+            } else {
+                assert_eq!(footprint.peak_streamed_bytes, 0);
+            }
+            for (b, sample) in samples.into_iter().enumerate() {
+                let trace = qtrace.trace(b).unwrap();
+                let expected = extract_path(&net, &trace, program).unwrap();
+                let (class, path) = sample.unwrap();
+                assert_eq!(class, trace.predicted_class().unwrap());
+                assert_eq!(path, expected, "int8 sample {b}");
+            }
+        }
     }
 
     #[test]

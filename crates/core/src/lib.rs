@@ -22,22 +22,26 @@
 //!                                                     .backend(..)     ◄ software | accel
 //!                                                     .build()?        ◄ fingerprint checked once
 //!                                                        │
-//!              detect(&x) / detect_batch(&xs) / detect_stream(xs) / score_stream(xs)
+//!      detect(&x) / detect_batch(&xs) / detect_batch_quantized_with(&qnet, &xs)
 //!                                                        ▼
 //!                                          Detection { is_adversary, … }
 //!                                          + BackendEstimate per batch
 //! ```
 //!
 //! [`DetectionEngine`] is the only online surface (the historical one-shot
-//! `Detector` shim is gone): bind once, then drive per input, per fused NCHW
-//! batch or as a stream (see [`engine`]).
+//! `Detector` shim is gone): bind once, then drive per input or per fused
+//! NCHW batch, in f32 or through an int8 [`ptolemy_nn::QuantizedNetwork`]
+//! (see [`engine`]).  A single input is a batch of one.
 //!
 //! # Streaming extraction
 //!
 //! Extraction no longer materialises a full forward trace.  The engine (and
-//! the offline [`Profiler`]) run through [`extract_path_streaming`] /
-//! [`extract_paths_streaming_batch`], which plug a path extractor into the
-//! forward pass itself via [`ptolemy_nn::TraceSink`]:
+//! the offline [`Profiler`]) run one streaming pipeline — the one behind
+//! [`extract_path_streaming`] / [`extract_paths_streaming_batch`] — which
+//! plugs a path extractor into the forward pass itself via
+//! [`ptolemy_nn::TraceSink`].  The forward pass is a parameter of that
+//! pipeline, so f32 and int8 detection share it and only the per-layer
+//! kernels differ:
 //!
 //! * **forward programs** select each enabled layer's important neurons the
 //!   moment the layer finishes and release the activation immediately,

@@ -26,6 +26,11 @@
 //!   **once** (`activations[i + 1]` is both layer `i`'s output and layer
 //!   `i + 1`'s input — no duplicated storage) so extraction can run after the
 //!   fact;
+//! * [`QuantizedNetwork`] — the int8 twin of the batched streaming driver
+//!   ([`QuantizedNetwork::forward_with_sink_batch`]): it shares `Network`'s
+//!   validation, stacking and layer loop, and only the per-layer step runs
+//!   integer kernels, so every sink (path extraction included) consumes
+//!   quantized and f32 passes alike;
 //! * [`Network::forward_batch`] / [`Network::forward_trace_batch`] — the fused
 //!   NCHW batch path: B inputs are stacked into one `[B, C, H, W]` tensor and
 //!   executed layer by layer through [`Layer::forward_batch`] (batched

@@ -1,6 +1,6 @@
 use ptolemy_tensor::Tensor;
 
-use crate::trace::TraceRecorder;
+use crate::trace::{Discard, TraceRecorder};
 use crate::{BatchTrace, ForwardTrace, Layer, NnError, Result, TraceSink};
 
 /// Parameter gradients for a whole network, one entry per layer (in layer order).
@@ -209,11 +209,7 @@ impl Network {
     /// Returns an error if `inputs` is empty or any input does not match the
     /// network input shape.
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        let mut cur = self.stack_batch(inputs)?;
-        for layer in &self.layers {
-            cur = layer.forward_batch(&cur)?;
-        }
-        Ok(cur)
+        self.forward_with_sink_batch(inputs, &mut Discard)
     }
 
     /// Runs one fused forward pass over a whole batch, handing each stacked
@@ -230,10 +226,24 @@ impl Network {
         inputs: &[Tensor],
         sink: &mut S,
     ) -> Result<Tensor> {
+        self.drive_batch(inputs, sink, |_, layer, batch| layer.forward_batch(batch))
+    }
+
+    /// The one batched layer loop behind the f32 and the int8
+    /// ([`crate::QuantizedNetwork`]) drivers: validates and stacks `inputs`,
+    /// then runs `step(index, layer, stacked_input)` for every layer, handing
+    /// each stacked boundary to `sink` as it is produced.  Only the per-layer
+    /// step differs between precisions.
+    pub(crate) fn drive_batch<S: TraceSink + ?Sized>(
+        &self,
+        inputs: &[Tensor],
+        sink: &mut S,
+        step: impl Fn(usize, &dyn Layer, &Tensor) -> Result<Tensor>,
+    ) -> Result<Tensor> {
         let mut cur = self.stack_batch(inputs)?;
         sink.on_input(&cur);
         for (index, layer) in self.layers.iter().enumerate() {
-            let out = layer.forward_batch(&cur)?;
+            let out = step(index, layer.as_ref(), &cur)?;
             sink.on_layer(index, &out);
             cur = out;
         }

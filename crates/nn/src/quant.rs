@@ -25,32 +25,38 @@
 //! output: `acc * s_act * s_weight + bias` in f32.  The network therefore
 //! carries ordinary f32 activations between layers, which keeps every
 //! non-weight layer (ReLU, pooling, reshape) byte-identical to the f32 path
-//! and lets the standard [`ForwardTrace`] / path-extraction machinery consume
+//! and lets the standard [`TraceSink`]s and path-extraction machinery consume
 //! quantized runs unchanged.  `Residual` blocks and any layer whose
 //! parameters don't follow the `[weight, bias]` convention simply run their
-//! f32 `forward` — quantization is per-layer opportunistic, never required.
+//! f32 `forward_batch` — quantization is per-layer opportunistic, never
+//! required.
 //!
 //! # Kernels and batching
 //!
 //! All integer matmuls route through the blocked, register-tiled i8 GEMM in
 //! `ptolemy_tensor::gemm_i8`; conv inputs lower through the fused int8
-//! `im2col` (`ptolemy_tensor::im2col_i8`), which quantizes while packing
-//! instead of staging an f32 column matrix.  Because i32 accumulation is
-//! exact, the blocked/fused kernels are *bit-identical* to the naive
-//! references — the kernel swap changes throughput, never results.  The same
-//! exactness makes [`QuantizedNetwork::forward_batch`] trivially parity-safe:
-//! sample `b` of a fused batch equals `forward(&inputs[b])` bit-for-bit, the
-//! same widening-only contract as the f32 `Network::forward_batch`.
+//! `im2col` (`ptolemy_tensor::im2col_i8_batch`), which quantizes while
+//! packing instead of staging an f32 column matrix.  Because i32
+//! accumulation is exact, the blocked/fused kernels are *bit-identical* to
+//! the naive references — the kernel swap changes throughput, never results.
+//!
+//! There is one quantized pass, the fused-batch one:
+//! [`QuantizedNetwork::forward_with_sink_batch`] shares `Network`'s
+//! validation, stacking and layer loop and differs only in the per-layer
+//! step.  A single input is a batch of one, and the same exactness makes
+//! sample `b` of any batch equal that input's batch of one bit-for-bit.  The
+//! sink hook is what lets `ptolemy-core` stream int8 path extraction exactly
+//! as it streams f32 extraction, without materialising a trace.
 
 use std::sync::Arc;
 
 use ptolemy_tensor::gemm_i8::{matmul_i8_blocked, matmul_i8_blocked_nt};
 use ptolemy_tensor::quant::{quantize_slice, tensor_max_abs, QuantParams};
-use ptolemy_tensor::{im2col_i8, im2col_i8_batch, Conv2dGeometry, Tensor};
+use ptolemy_tensor::{im2col_i8_batch, Conv2dGeometry, Tensor};
 
 use crate::batch::check_batch;
-use crate::trace::predicted_class;
-use crate::{BatchTrace, ForwardTrace, LayerKind, Network, NnError, Result, TraceSink};
+use crate::trace::{predicted_class, Discard, TraceRecorder};
+use crate::{BatchTrace, LayerKind, Network, NnError, Result, TraceSink};
 
 /// One layer's pre-quantized integer kernel.
 #[derive(Debug, Clone)]
@@ -201,72 +207,12 @@ impl QuantizedNetwork {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    fn forward_layer(
-        &self,
-        index: usize,
-        layer: &dyn crate::Layer,
-        input: &Tensor,
-    ) -> Result<Tensor> {
-        let Some(slot) = &self.slots[index] else {
-            return layer.forward(input);
-        };
-        match &slot.kernel {
-            QuantKernel::Dense {
-                qweight,
-                wparams,
-                bias,
-                inputs,
-                outputs,
-            } => {
-                if input.len() != *inputs {
-                    return layer.forward(input);
-                }
-                let qx = quantize_slice(input.as_slice(), slot.act);
-                let acc = matmul_i8_blocked_nt(&qx, qweight, 1, *inputs, *outputs)?;
-                let scale = slot.act.scale() * wparams.scale();
-                let out: Vec<f32> = acc
-                    .iter()
-                    .zip(bias)
-                    .map(|(a, b)| *a as f32 * scale + b)
-                    .collect();
-                Ok(Tensor::from_vec(out, &[*outputs])?)
-            }
-            QuantKernel::Conv {
-                qweight,
-                wparams,
-                bias,
-                geometry,
-                out_channels,
-            } => {
-                let expected = [geometry.in_channels, geometry.in_h, geometry.in_w];
-                if input.dims() != expected {
-                    return layer.forward(input);
-                }
-                let qcols = im2col_i8(input, geometry, slot.act)?;
-                let patches = geometry.num_patches();
-                let patch_len = geometry.patch_len();
-                let acc = matmul_i8_blocked(qweight, &qcols, *out_channels, patch_len, patches)?;
-                let scale = slot.act.scale() * wparams.scale();
-                let mut out = vec![0.0f32; out_channels * patches];
-                for (oc, (chunk, b)) in out.chunks_mut(patches).zip(bias).enumerate() {
-                    let row = &acc[oc * patches..(oc + 1) * patches];
-                    for (o, a) in chunk.iter_mut().zip(row) {
-                        *o = *a as f32 * scale + b;
-                    }
-                }
-                Ok(Tensor::from_vec(
-                    out,
-                    &[*out_channels, geometry.out_h, geometry.out_w],
-                )?)
-            }
-        }
-    }
-
-    /// Batched twin of [`Self::forward_layer`]: runs one fused integer kernel
-    /// over a stacked `[B] ++ sample_shape` boundary.  Row `b` of the output
-    /// is bit-for-bit `forward_layer` of sample `b` — i32 accumulation is
-    /// exact, so fusing the batch into one GEMM cannot change results, and
-    /// the requantization expression is textually the single-input one.
+    /// The quantized per-layer step: runs one fused integer kernel over a
+    /// stacked `[B] ++ sample_shape` boundary, or the layer's f32
+    /// `forward_batch` when the layer has no integer kernel.  Row `b` of the
+    /// output does not depend on the other rows — i32 accumulation is exact
+    /// and the requantization is elementwise — so it equals the batch of one
+    /// of sample `b` bit-for-bit.
     fn forward_layer_batch(
         &self,
         index: usize,
@@ -288,9 +234,8 @@ impl QuantizedNetwork {
                     return layer.forward_batch(batch);
                 }
                 let b_sz = batch.dims()[0];
-                // One quantization sweep over the whole [B, inputs] slab: the
-                // per-element expression is identical to the single-input
-                // path's, so slicing the batch preserves bits.
+                // One elementwise quantization sweep over the whole
+                // [B, inputs] slab, so each row quantizes as it would alone.
                 let qx = quantize_slice(batch.as_slice(), slot.act);
                 let acc = matmul_i8_blocked_nt(&qx, qweight, b_sz, *inputs, *outputs)?;
                 let scale = slot.act.scale() * wparams.scale();
@@ -317,7 +262,7 @@ impl QuantizedNetwork {
                 let patches = geometry.num_patches();
                 let patch_len = geometry.patch_len();
                 // Fused batched int8 im2col: column `b * patches + j` is
-                // bit-for-bit column `j` of the per-sample lowering.
+                // column `j` of sample `b`'s lowering.
                 let qcols = im2col_i8_batch(batch, geometry, slot.act)?;
                 let cols = b_sz * patches;
                 let acc = matmul_i8_blocked(qweight, &qcols, *out_channels, patch_len, cols)?;
@@ -342,95 +287,69 @@ impl QuantizedNetwork {
         }
     }
 
-    /// Stacks `inputs` into one `[B] ++ input_shape` batch, validating shapes
-    /// (same contract as the f32 `Network::forward_batch` entry).
-    fn stack_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        if inputs.is_empty() {
-            return Err(NnError::InvalidConfig(
-                "batched quantized forward pass requires at least one input".into(),
-            ));
-        }
-        for input in inputs {
-            if input.dims() != self.network.input_shape() {
-                return Err(NnError::InvalidConfig(format!(
-                    "network expects input shape {:?}, got {:?}",
-                    self.network.input_shape(),
-                    input.dims()
-                )));
-            }
-        }
-        Ok(Tensor::stack(inputs)?)
-    }
-
-    /// Runs the quantized forward pass, returning the logits.
+    /// Runs one fused quantized forward pass over a whole batch, handing
+    /// each stacked activation boundary (`[B] ++ boundary_shape`) to `sink`
+    /// as it is produced — the int8 twin of
+    /// [`Network::forward_with_sink_batch`], sharing its validation,
+    /// stacking and layer loop.  Returns the stacked logits.
+    ///
+    /// Boundaries are ordinary f32 tensors (every integer kernel requantizes
+    /// on output), so the same sinks — path extraction included — consume
+    /// quantized and f32 passes alike.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers.
+    /// Returns an error if `inputs` is empty or any input does not match the
+    /// network input shape.
+    pub fn forward_with_sink_batch<S: TraceSink + ?Sized>(
+        &self,
+        inputs: &[Tensor],
+        sink: &mut S,
+    ) -> Result<Tensor> {
+        self.network
+            .drive_batch(inputs, sink, |index, layer, batch| {
+                self.forward_layer_batch(index, layer, batch)
+            })
+    }
+
+    /// Runs the quantized forward pass on one input (a batch of one),
+    /// returning the logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `input` does not match the network input shape.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
-        for (i, layer) in self.network.layers().enumerate() {
-            x = self.forward_layer(i, layer, &x)?;
-        }
-        Ok(x)
-    }
-
-    /// Runs the quantized forward pass, materialising every activation
-    /// boundary as a standard [`ForwardTrace`] — the entry point for
-    /// activation-path extraction over quantized inference.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the layers.
-    pub fn forward_trace(&self, input: &Tensor) -> Result<ForwardTrace> {
-        let mut activations = Vec::with_capacity(self.network.num_layers() + 1);
-        activations.push(input.clone());
-        let mut x = input.clone();
-        for (i, layer) in self.network.layers().enumerate() {
-            x = self.forward_layer(i, layer, &x)?;
-            activations.push(x.clone());
-        }
-        ForwardTrace::from_activations(activations)
+        Ok(self
+            .forward_batch(std::slice::from_ref(input))?
+            .slice_batch(0)?)
     }
 
     /// Runs one fused quantized forward pass over a whole batch and returns
-    /// the stacked logits (`[B, num_classes]`).
-    ///
-    /// Row `b` is bit-for-bit identical to `forward(&inputs[b])`: integer
-    /// accumulation is exact, the batched int8 `im2col` widens columns
-    /// without reordering them, and every f32-fallback layer already carries
-    /// the same guarantee through `Layer::forward_batch`.
+    /// the stacked logits (`[B, num_classes]`).  Row `b` is bit-for-bit
+    /// `forward(&inputs[b])`.
     ///
     /// # Errors
     ///
     /// Returns an error if `inputs` is empty or any input does not match the
     /// network input shape.
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        let mut cur = self.stack_batch(inputs)?;
-        for (i, layer) in self.network.layers().enumerate() {
-            cur = self.forward_layer_batch(i, layer, &cur)?;
-        }
-        Ok(cur)
+        self.forward_with_sink_batch(inputs, &mut Discard)
     }
 
     /// Runs one fused quantized forward pass over a whole batch, materialising
-    /// every stacked activation boundary as a [`BatchTrace`] — the batched
-    /// twin of [`Self::forward_trace`], and the entry point for batched
-    /// quantized path extraction in `ptolemy-core`.
+    /// every stacked activation boundary as a [`BatchTrace`] (a keep-everything
+    /// sink over [`Self::forward_with_sink_batch`]).  Detection streams
+    /// instead; this materialized form is the oracle the streaming parity
+    /// tests compare against.
     ///
     /// # Errors
     ///
     /// Returns an error if `inputs` is empty or any input does not match the
     /// network input shape.
     pub fn forward_trace_batch(&self, inputs: &[Tensor]) -> Result<BatchTrace> {
-        let mut activations = Vec::with_capacity(self.network.num_layers() + 1);
-        let mut cur = self.stack_batch(inputs)?;
-        activations.push(cur.clone());
-        for (i, layer) in self.network.layers().enumerate() {
-            cur = self.forward_layer_batch(i, layer, &cur)?;
-            activations.push(cur.clone());
-        }
-        Ok(BatchTrace::new(inputs.len(), activations))
+        let mut recorder = TraceRecorder::with_capacity(self.network.num_layers());
+        self.forward_with_sink_batch(inputs, &mut recorder)?;
+        Ok(BatchTrace::new(inputs.len(), recorder.activations))
     }
 
     /// Argmax class of the quantized logits.
@@ -500,6 +419,7 @@ mod tests {
         }
     }
 
+    /// Every row of a fused batch is bit-for-bit that input's batch of one.
     #[test]
     fn batched_quantized_forward_is_bit_identical_to_single() {
         let mut rng = Rng64::new(11);
@@ -511,9 +431,11 @@ mod tests {
             let qnet = QuantizedNetwork::quantize(network.clone(), &cal).unwrap();
             let stacked = qnet.forward_batch(&cal).unwrap();
             for (b, input) in cal.iter().enumerate() {
-                let single = qnet.forward(input).unwrap();
+                let one = qnet.forward_batch(std::slice::from_ref(input)).unwrap();
+                assert_eq!(one.dims()[0], 1);
                 let row = stacked.slice_batch(b).unwrap();
-                assert_bits_eq(&row, &single, "logits row");
+                assert_bits_eq(&row, &one.slice_batch(0).unwrap(), "logits row");
+                assert_bits_eq(&row, &qnet.forward(input).unwrap(), "forward");
             }
         }
     }
@@ -528,7 +450,11 @@ mod tests {
         assert_eq!(batch.batch_size(), cal.len());
         assert_eq!(batch.num_layers(), network.num_layers());
         for (b, input) in cal.iter().enumerate() {
-            let single = qnet.forward_trace(input).unwrap();
+            let single = qnet
+                .forward_trace_batch(std::slice::from_ref(input))
+                .unwrap()
+                .trace(0)
+                .unwrap();
             let sliced = batch.trace(b).unwrap();
             for (layer, (s, f)) in sliced
                 .activations()
@@ -539,6 +465,33 @@ mod tests {
                 assert_bits_eq(s, f, &format!("sample {b} boundary {layer}"));
             }
         }
+    }
+
+    /// The streaming driver hands the sink exactly the boundaries the
+    /// materialized trace records, in layer order.
+    #[test]
+    fn quantized_sink_sees_every_stacked_boundary_in_order() {
+        struct Lens(Vec<(Option<usize>, usize)>);
+        impl TraceSink for Lens {
+            fn on_input(&mut self, input: &Tensor) {
+                self.0.push((None, input.len()));
+            }
+            fn on_layer(&mut self, index: usize, output: &Tensor) {
+                self.0.push((Some(index), output.len()));
+            }
+        }
+        let mut rng = Rng64::new(19);
+        let network = Arc::new(zoo::lenet(1, 4, &mut rng).unwrap());
+        let cal = calibration(&network, &mut rng, 3);
+        let qnet = QuantizedNetwork::quantize(network.clone(), &cal).unwrap();
+        let mut lens = Lens(Vec::new());
+        let logits = qnet.forward_with_sink_batch(&cal, &mut lens).unwrap();
+        let trace = qnet.forward_trace_batch(&cal).unwrap();
+        assert_eq!(lens.0.len(), network.num_layers() + 1);
+        for (i, (seen, boundary)) in lens.0.iter().zip(trace.activations()).enumerate() {
+            assert_eq!(*seen, (i.checked_sub(1), boundary.len()));
+        }
+        assert_bits_eq(&logits, &qnet.forward_batch(&cal).unwrap(), "logits");
     }
 
     #[test]
@@ -559,9 +512,17 @@ mod tests {
         let cal = calibration(&network, &mut rng, 4);
         let qnet = QuantizedNetwork::quantize(network.clone(), &cal).unwrap();
         assert_eq!(qnet.num_quantized_layers(), 4);
-        let trace = qnet.forward_trace(&cal[0]).unwrap();
+        let trace = qnet
+            .forward_trace_batch(&cal[..1])
+            .unwrap()
+            .trace(0)
+            .unwrap();
         assert_eq!(trace.num_layers(), network.num_layers());
-        let again = qnet.forward_trace(&cal[0]).unwrap();
+        let again = qnet
+            .forward_trace_batch(&cal[..1])
+            .unwrap()
+            .trace(0)
+            .unwrap();
         for (a, b) in trace.activations().iter().zip(again.activations()) {
             assert_eq!(a.len(), b.len());
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {

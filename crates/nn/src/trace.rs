@@ -41,6 +41,15 @@ pub trait TraceSink {
     fn on_layer(&mut self, index: usize, output: &Tensor);
 }
 
+/// A [`TraceSink`] that keeps nothing — the sink of the plain batched
+/// forward passes, which only want the logits.
+#[derive(Debug)]
+pub(crate) struct Discard;
+
+impl TraceSink for Discard {
+    fn on_layer(&mut self, _index: usize, _output: &Tensor) {}
+}
+
 /// A [`TraceSink`] that keeps every boundary — the adapter that turns the
 /// streaming driver back into a materialized trace.
 #[derive(Debug, Default)]

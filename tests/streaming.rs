@@ -3,9 +3,11 @@
 //! termination and late start) and batch sizes 1..8, the streamed pipeline —
 //! masks computed while the forward pass runs, activations dropped eagerly —
 //! must be **bit-for-bit identical** to the materialized trace-then-extract
-//! pipeline: same paths, same similarities/scores, same detect verdicts.
-//! The suite also pins the memory guarantee: the streamed peak resident
-//! activation bytes stay strictly below what the materialized trace holds.
+//! pipeline: same paths, same similarities/scores, same detect verdicts —
+//! in f32 and through the int8 `QuantizedNetwork`, which streams through the
+//! same extraction.  The suite also pins the memory guarantee: the streamed
+//! peak resident activation bytes stay strictly below what the materialized
+//! trace holds.
 
 mod common;
 
@@ -13,16 +15,18 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use ptolemy::core::{
-    extract_path, extract_path_streaming, extract_paths_streaming_batch, variants, DetectionEngine,
-    DetectionProgram, Profiler,
+    extract_path, extract_path_streaming, extract_paths_streaming_batch, variants, ActivationPath,
+    Detection, DetectionEngine, DetectionProgram, Profiler,
 };
-use ptolemy::nn::Network;
+use ptolemy::nn::{Network, QuantizedNetwork};
 use ptolemy::prelude::{Attack, Fgsm, Tensor};
 use ptolemy::tensor::Rng64;
 
 /// One trained victim plus a calibrated engine per `variants::*` constructor.
 struct Fixture {
     network: Arc<Network>,
+    /// An int8 network quantized from `network`'s instance.
+    qnet: QuantizedNetwork,
     engines: Vec<(&'static str, DetectionEngine)>,
     inputs: Vec<Tensor>,
 }
@@ -71,10 +75,12 @@ fn fixture() -> &'static Fixture {
             })
             .collect();
 
+        let qnet = QuantizedNetwork::quantize(network.clone(), &benign[..8]).unwrap();
         let mut inputs = benign;
         inputs.extend(adversarial);
         Fixture {
             network,
+            qnet,
             engines,
             inputs,
         }
@@ -104,11 +110,42 @@ fn materialized_path(
     network: &Network,
     program: &DetectionProgram,
     input: &Tensor,
-) -> (usize, ptolemy::core::ActivationPath) {
+) -> (usize, ActivationPath) {
     let trace = network.forward_trace(input).unwrap();
     let predicted = trace.predicted_class().unwrap();
     let path = extract_path(network, &trace, program).unwrap();
     (predicted, path)
+}
+
+/// The materialized int8 oracle: the quantized batch-of-one trace, extracted
+/// after the fact.
+fn materialized_int8_path(
+    qnet: &QuantizedNetwork,
+    program: &DetectionProgram,
+    input: &Tensor,
+) -> (usize, ActivationPath) {
+    let trace = qnet
+        .forward_trace_batch(std::slice::from_ref(input))
+        .unwrap()
+        .trace(0)
+        .unwrap();
+    let predicted = trace.predicted_class().unwrap();
+    let path = extract_path(qnet.network(), &trace, program).unwrap();
+    (predicted, path)
+}
+
+/// Class, similarity and forest score of a materialized `(class, path)`
+/// against `engine`'s canary paths and classifier.
+fn score(engine: &DetectionEngine, (class, path): (usize, ActivationPath)) -> (usize, f32, f32) {
+    let similarity = path
+        .similarity(engine.class_paths().class_path(class).unwrap())
+        .unwrap();
+    let score = engine
+        .forest()
+        .expect("calibrated engine")
+        .predict_proba(&[similarity])
+        .unwrap();
+    (class, similarity, score)
 }
 
 proptest! {
@@ -179,7 +216,8 @@ proptest! {
     /// Detect verdicts served through the streamed engine (single and fused
     /// batch) are bit-for-bit what the materialized pipeline scores: the
     /// similarity comes from an identical path, so the forest score and the
-    /// verdict match exactly.
+    /// verdict match exactly.  The int8 entry point streams through the same
+    /// extraction and matches the materialized int8 oracle the same way.
     #[test]
     fn streamed_detect_matches_materialized_scoring(
         seed in 0u64..10_000,
@@ -191,33 +229,46 @@ proptest! {
         for (name, engine) in &fx.engines {
             let batched = engine.detect_batch(&inputs).unwrap();
             prop_assert_eq!(batched.len(), inputs.len());
-            for (input, served) in inputs.iter().zip(&batched) {
-                let (expected_class, expected_path) =
-                    materialized_path(&fx.network, engine.program(), input);
-                let similarity = expected_path
-                    .similarity(engine.class_paths().class_path(expected_class).unwrap())
-                    .unwrap();
-                let score = engine
-                    .forest()
-                    .expect("calibrated engine")
-                    .predict_proba(&[similarity])
-                    .unwrap();
-                prop_assert!(
-                    served.predicted_class == expected_class,
-                    "variant {}: class diverged",
-                    name
-                );
-                prop_assert!(
-                    served.similarity.to_bits() == similarity.to_bits(),
-                    "variant {}: similarity diverged",
-                    name
-                );
-                prop_assert!(
-                    served.score.to_bits() == score.to_bits(),
-                    "variant {}: score diverged",
-                    name
-                );
-                prop_assert_eq!(served.is_adversary, score >= engine.threshold());
+            let int8: Vec<Detection> = engine
+                .detect_batch_quantized_with(&fx.qnet, &inputs)
+                .into_iter()
+                .map(|r| r.unwrap().0)
+                .collect();
+            prop_assert_eq!(int8.len(), inputs.len());
+            for ((input, served), served_int8) in inputs.iter().zip(&batched).zip(&int8) {
+                for (precision, served, expected) in [
+                    (
+                        "f32",
+                        served,
+                        score(engine, materialized_path(&fx.network, engine.program(), input)),
+                    ),
+                    (
+                        "int8",
+                        served_int8,
+                        score(engine, materialized_int8_path(&fx.qnet, engine.program(), input)),
+                    ),
+                ] {
+                    let (expected_class, similarity, score) = expected;
+                    prop_assert!(
+                        served.predicted_class == expected_class,
+                        "variant {} ({}): class diverged",
+                        name,
+                        precision
+                    );
+                    prop_assert!(
+                        served.similarity.to_bits() == similarity.to_bits(),
+                        "variant {} ({}): similarity diverged",
+                        name,
+                        precision
+                    );
+                    prop_assert!(
+                        served.score.to_bits() == score.to_bits(),
+                        "variant {} ({}): score diverged",
+                        name,
+                        precision
+                    );
+                    prop_assert_eq!(served.is_adversary, score >= engine.threshold());
+                }
 
                 // The single-input engine path agrees with the fused batch.
                 let single = engine.detect(input).unwrap();
